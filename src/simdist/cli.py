@@ -156,16 +156,15 @@ def gallery_connected(complex_path, k, out):
 @gallery.command("fill")
 @click.option("--complex", "complex_path", type=click.Path(exists=True), required=True)
 @click.argument("faces", nargs=-1, required=True)
-@click.option("--budget", type=int, default=10_000_000, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 @_guard
-def gallery_fill(complex_path, faces, budget, out):
+def gallery_fill(complex_path, faces, out):
     """Filling number of a face set; each face is 'v1,v2,...' labels."""
     complex_ = load_complex(complex_path)
     face_set = [complex_.from_labels(_parse_simplex(f)) for f in faces]
-    config = {"complex": complex_path, "faces": list(faces), "budget": budget}
+    config = {"complex": complex_path, "faces": list(faces)}
     try:
-        result = fill_number(complex_, face_set, budget=budget)
+        result = fill_number(complex_, face_set)
     except UnfillableError as exc:
         _emit({"config": config, "result": {"unfillable": True, "reason": str(exc)}}, out)
         return
@@ -236,25 +235,24 @@ def distortion_group():
 @click.option("--complex", "complex_path", type=click.Path(exists=True), required=True)
 @click.option("--embedding", "embedding_spec", type=str, required=True)
 @click.option("--k", "k", type=int, required=True)
-@click.option("--budget", type=int, default=10_000_000, show_default=True)
 @click.option("--tolerance", type=float, default=DEFAULT_TOLERANCE, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 @_guard
-def distortion_eval(complex_path, embedding_spec, k, budget, tolerance, out):
-    """Measured distortion interval of an embedding over all vertex subsets."""
+def distortion_eval(complex_path, embedding_spec, k, tolerance, out):
+    """Measured distortion of an embedding over all vertex subsets."""
     complex_ = load_complex(complex_path)
     family = vertex_set_family(complex_, k)
     embedding = EmbeddingSpec.parse(embedding_spec).realize(complex_)
     try:
         report = evaluate_distortion(
-            complex_, family, embedding, fill_budget=budget, tolerance=tolerance
+            complex_, family, embedding, tolerance=tolerance
         )
     except UnfillableError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     payload = {
         "config": {"complex": complex_path, "embedding": embedding_spec,
-                   "k": k, "budget": budget, "tolerance": tolerance},
+                   "k": k, "tolerance": tolerance},
         "result": report.to_dict(),
     }
     _emit(payload, out)
@@ -287,25 +285,22 @@ def distortion_bound(complex_path, k, tolerance, out):
 @click.option("--trials", type=int, required=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--embedding", "embedding_spec", type=str, required=True)
-@click.option("--budget", type=int, default=10_000_000, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 @click.option("--out", type=click.Path(), default=None)
 @_guard
-def distortion_lm_experiment(n, p, k, trials, seed, embedding_spec, budget, fmt, out):
+def distortion_lm_experiment(n, p, k, trials, seed, embedding_spec, fmt, out):
     """Random-complex trials comparing measured distortion to the bound."""
     from .distortion import CSV_HEADER
 
     spec = EmbeddingSpec.parse(embedding_spec)
-    report = lm_distortion_experiment(
-        LmParams(n, p, k, seed), spec, trials, fill_budget=budget
-    )
+    report = lm_distortion_experiment(LmParams(n, p, k, seed), spec, trials)
     if fmt == "csv":
         rows = [record.csv_row() for record in report.records]
         _emit(None, out, as_csv=True, csv_data=(CSV_HEADER, rows))
     else:
         payload = {
             "config": {"n": n, "p": p, "k": k, "trials": trials, "seed": seed,
-                       "embedding": embedding_spec, "budget": budget},
+                       "embedding": embedding_spec},
             "result": report.to_dict(),
         }
         _emit(payload, out)

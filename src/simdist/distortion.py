@@ -469,22 +469,21 @@ def distortion_lower_bound(
 
 @dataclass
 class MemberEvaluation:
-    """Fill bounds and embedded volume for one family member."""
+    """Filling number and embedded volume for one family member."""
 
     faces: tuple
     volume: float
-    fill_lower: int
-    fill_upper: int
-    fill_exact: int | None
+    fill_exact: int
 
 
 @dataclass
 class DistortionReport:
     """Distortion of one embedding against one boundary family.
 
-    Filling numbers may only be bracketed, so both suprema and the
-    distortion are intervals; `infinite` marks a member whose embedded
-    volume vanishes (the distortion is then unbounded by convention).
+    Filling numbers are exact, so each `_lo` field equals its `_hi` field;
+    both stay so that documents keep their fields. `infinite` marks a member
+    whose embedded volume vanishes (the distortion is then unbounded by
+    convention).
     """
 
     k: int
@@ -525,7 +524,6 @@ def evaluate_distortion(
     family: BoundaryFamily,
     embedding: Embedding,
     *,
-    fill_budget: int = 10_000_000,
     tolerance: float = DEFAULT_TOLERANCE,
     hypotheses: HypothesisReport | None = None,
     include_bound: bool = True,
@@ -535,8 +533,7 @@ def evaluate_distortion(
 
     Boundaries of (k+1)-simplices present in the complex are always included
     alongside the family (they are the members whose filling number is 1);
-    for vertex-set families they are already covered. Filling numbers that
-    the search could not pin down propagate as intervals.
+    for vertex-set families they are already covered.
     """
     k = family.k
     if embedding.num_vertices != complex_.num_vertices:
@@ -570,27 +567,16 @@ def evaluate_distortion(
     graph = GalleryGraph(complex_, k)
     evaluations = []
     infinite = False
-    exact_fill = True
+    forward = backward = 0.0
     for member, volume in zip(members, volumes):
         faces = tuple(s for s, _ in member.faces)
-        fill = fill_number(complex_, faces, budget=fill_budget, graph=graph)
-        if fill.exact is None:
-            exact_fill = False
+        fill = fill_number(complex_, faces, graph=graph).exact
+        forward = max(forward, volume / fill)
+        if volume > 0.0:
+            backward = max(backward, fill / volume)
         if volume == 0.0:
             infinite = True
-        evaluations.append(
-            MemberEvaluation(faces, volume, fill.lower, fill.upper, fill.exact)
-        )
-
-    fwd_lo = fwd_hi = bwd_lo = bwd_hi = 0.0
-    for ev in evaluations:
-        lo = ev.fill_exact if ev.fill_exact is not None else ev.fill_lower
-        hi = ev.fill_exact if ev.fill_exact is not None else ev.fill_upper
-        fwd_lo = max(fwd_lo, ev.volume / hi)
-        fwd_hi = max(fwd_hi, ev.volume / lo)
-        if ev.volume > 0.0:
-            bwd_lo = max(bwd_lo, lo / ev.volume)
-            bwd_hi = max(bwd_hi, hi / ev.volume)
+        evaluations.append(MemberEvaluation(faces, volume, fill))
 
     bound = None
     if include_bound:
@@ -599,23 +585,22 @@ def evaluate_distortion(
         )
 
     if infinite:
-        distortion_lo = distortion_hi = None
+        backward = distortion = None
     else:
-        distortion_lo = fwd_lo * bwd_lo
-        distortion_hi = fwd_hi * bwd_hi
+        distortion = forward * backward
 
     return DistortionReport(
         k=k,
         family_size=family.size,
         evaluated_members=len(evaluations),
-        sup_forward_lo=fwd_lo,
-        sup_forward_hi=fwd_hi,
-        sup_backward_lo=None if infinite else bwd_lo,
-        sup_backward_hi=None if infinite else bwd_hi,
-        distortion_lo=distortion_lo,
-        distortion_hi=distortion_hi,
+        sup_forward_lo=forward,
+        sup_forward_hi=forward,
+        sup_backward_lo=backward,
+        sup_backward_hi=backward,
+        distortion_lo=distortion,
+        distortion_hi=distortion,
         infinite=infinite,
-        exact_fill=exact_fill,
+        exact_fill=True,
         hypotheses=hyp,
         bound=bound,
         members=evaluations if keep_members else [],
@@ -793,7 +778,6 @@ def lm_distortion_experiment(
     spec: EmbeddingSpec,
     trials: int,
     *,
-    fill_budget: int = 10_000_000,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> ExperimentReport:
     """Sample complexes, verify hypotheses, and compare measured distortion
@@ -821,8 +805,7 @@ def lm_distortion_experiment(
             embedding = spec.realize(complex_, trial)
             family = vertex_set_family(complex_, k)
             report = evaluate_distortion(
-                complex_, family, embedding,
-                fill_budget=fill_budget, tolerance=tolerance, hypotheses=hyp,
+                complex_, family, embedding, tolerance=tolerance, hypotheses=hyp,
             )
         except (UnfillableError, NotPureError, GeometryError):
             # degenerate sample: hypotheses cannot all hold; keep the trial

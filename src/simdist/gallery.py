@@ -12,7 +12,10 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
+
+import numpy as np
 
 from .complexes import DegreeError, MissingSimplexError, SimplicialComplex
 
@@ -29,8 +32,8 @@ __all__ = [
     "is_gallery_connected",
 ]
 
-DEFAULT_FILL_BUDGET = 10_000_000
 INF = math.inf
+UNREACHED = np.iinfo(np.int32).max // 4  # face-table entry of another component
 
 
 class UnfillableError(ValueError):
@@ -54,6 +57,7 @@ class GalleryGraph:
                 adjacency[b].add(a)
         self.adjacency = [sorted(s) for s in adjacency]
         self.components = self._component_labels()
+        self._face_tables: dict[tuple, np.ndarray] = {}
 
     def _component_labels(self) -> list[int]:
         labels = [-1] * len(self.nodes)
@@ -84,21 +88,59 @@ class GalleryGraph:
         i = self.complex.index_of(s)
         return self.complex.coface_indices(self.k, i)
 
-    def node_distances_from(self, sources) -> list[float]:
-        """BFS node-count distance: a source costs 1, each step adds 1."""
-        dist = [INF] * len(self.nodes)
-        queue = deque()
-        for v in sources:
-            if dist[v] == INF:
-                dist[v] = 1
-                queue.append(v)
-        while queue:
-            v = queue.popleft()
-            for w in self.adjacency[v]:
-                if dist[w] == INF:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        return dist
+    @cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row starts, row lengths and column indices of the adjacency."""
+        degrees = np.fromiter(map(len, self.adjacency), dtype=np.int64,
+                              count=self.num_nodes)
+        starts = np.cumsum(degrees) - degrees
+        indices = np.fromiter(
+            (w for row in self.adjacency for w in row), dtype=np.int64,
+            count=int(degrees.sum()),
+        )
+        return starts, degrees, indices
+
+    def _neighbours(self, nodes: np.ndarray) -> np.ndarray:
+        """Adjacency rows of a nonempty node array, concatenated."""
+        starts, degrees, indices = self._csr
+        counts = degrees[nodes]
+        ends = np.cumsum(counts)
+        positions = np.repeat(starts[nodes] - ends + counts, counts)
+        positions += np.arange(ends[-1])
+        return indices[positions]
+
+    def relax(self, table: np.ndarray, cap: int) -> np.ndarray:
+        """Lower `table` in place to min over u of table[u] + dist(u, v).
+
+        Levels are settled in increasing order, each pushing one step to
+        its neighbours, so every entry that ends at most `cap` is exact;
+        entries above `cap` only stay above it.
+        """
+        for level in range(int(table.min()), cap):
+            frontier = (table == level).nonzero()[0]
+            if frontier.size:
+                reached = self._neighbours(frontier)
+                table[reached] = np.minimum(table[reached], level + 1)
+        return table
+
+    def face_table(self, face: tuple) -> np.ndarray:
+        """Node-count distance from the star of a sorted k-face, cached.
+
+        A node of the star costs 1 and each step adds 1; nodes of other
+        components hold UNREACHED.
+        """
+        table = self._face_tables.get(face)
+        if table is None:
+            table = np.full(self.num_nodes, UNREACHED, dtype=np.int32)
+            table[self.star_indices(face)] = 1
+            level, frontier = 1, (table == 1).nonzero()[0]
+            while frontier.size:  # breadth-first, one level at a time
+                reached = self._neighbours(frontier)
+                table[reached] = np.minimum(table[reached], level + 1)
+                level += 1
+                frontier = (table == level).nonzero()[0]
+            self._face_tables[face] = table
+        return table
 
     def shortest_gallery(self, sources, targets) -> list[int] | None:
         """Node list of a shortest gallery from a star to a star, or None."""
@@ -178,15 +220,15 @@ def gallery_distances_from(
     k = len(s) - 1
     if graph is None:
         graph = GalleryGraph(complex_, k)
-    node_dist = graph.node_distances_from(graph.star_indices(s))
+    node_dist = graph.face_table(s)
     out = {}
     for i, eta in enumerate(complex_.simplices(k)):
         if eta == s:
             out[eta] = 0
             continue
         star = complex_.coface_indices(k, i)
-        best = min((node_dist[v] for v in star), default=INF)
-        out[eta] = best
+        best = min((node_dist[v] for v in star), default=UNREACHED)
+        out[eta] = INF if best == UNREACHED else int(best)
     return out
 
 
@@ -200,22 +242,25 @@ def gallery_ball_sizes(
 
 @dataclass
 class FillResult:
-    """Bounds (and, when the search closes, the exact value) of a filling number."""
+    """Exact filling number of a face set and one filling that attains it.
+
+    ``lower`` and ``upper`` always equal ``exact`` and ``budget_exhausted`` is
+    always false; they stay so that documents keep their fields.
+    ``states_visited`` counts the face-subset tables built.
+    """
 
     lower: int
     upper: int
-    exact: int | None
-    witness: tuple[tuple[int, ...], ...] | None
+    exact: int
+    witness: tuple[tuple[int, ...], ...]
     budget_exhausted: bool = False
     states_visited: int = 0
 
     def to_dict(self, complex_: SimplicialComplex | None = None) -> dict:
-        witness = None
-        if self.witness is not None:
-            witness = [
-                [int(v) for v in (complex_.to_labels(s) if complex_ else s)]
-                for s in self.witness
-            ]
+        witness = [
+            [int(v) for v in (complex_.to_labels(s) if complex_ else s)]
+            for s in self.witness
+        ]
         return {
             "lower": self.lower,
             "upper": self.upper,
@@ -226,100 +271,34 @@ class FillResult:
         }
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
-def _coverage_masks(num_nodes: int, stars) -> dict[int, int]:
-    """face-membership bitmask of every node that contains some face."""
-    masks: dict[int, int] = {}
-    for i, star in enumerate(stars):
-        bit = 1 << i
-        for v in star:
-            masks[v] = masks.get(v, 0) | bit
-    return masks
-
-
-def _min_cover_table(mask_pool, num_faces: int) -> list[int]:
-    """table[state] = fewest masks from the pool whose union covers `state`.
-
-    num_faces <= s stays tiny, so the 2^s dynamic program is exact.
-    """
-    full = 1 << num_faces
-    table = [0] + [math.inf] * (full - 1)
-    pool = sorted(set(mask_pool), reverse=True)
-    for state in range(1, full):
-        best = math.inf
-        for mask in pool:
-            if mask & state:
-                candidate = table[state & ~mask] + 1
-                if candidate < best:
-                    best = candidate
-        table[state] = best
-    return table
-
-
-def _best_cone_filling(complex_, graph, face_set, stars):
-    """Smallest valid cone filling (all faces joined to one extra vertex).
-
-    Returns node indices or None. Validity (every pair joined inside the
-    cone) is re-checked with a union-find, so arbitrary face sets are safe.
-    """
-    k = len(face_set[0]) - 1
-    best = None
-    star_sets = [set(s) for s in stars]
-    for w in range(complex_.num_vertices):
-        cone = set()
-        for f in face_set:
-            if w in f:
-                cone = None
-                break
-            joined = tuple(sorted(f + (w,)))
-            if not complex_.contains(joined):
-                cone = None
-                break
-            cone.add(complex_.index_of(joined))
-        if cone is None or (best is not None and len(cone) >= len(best)):
-            continue
-        if _connects_all_pairs(graph, cone, star_sets):
-            best = cone
-    return best
-
-
-def _connects_all_pairs(graph, subset, star_sets):
-    subset = set(subset)
-    parent = {v: v for v in subset}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for v in subset:
-        for w in graph.adjacency[v]:
-            if w in subset:
-                parent[find(v)] = find(w)
-    roots = [{find(v) for v in subset & star} for star in star_sets]
-    return all(a & b for a, b in combinations(roots, 2))
+def _splits(subset: int):
+    """Proper parts of a face bitmask that hold its lowest face, so each
+    unordered split into two nonempty parts is produced once."""
+    low = subset & -subset
+    part = (subset - 1) & subset
+    while part:
+        if part & low:
+            yield part
+        part = (part - 1) & subset
 
 
 def fill_number(
     complex_: SimplicialComplex,
     faces,
     *,
-    budget: int = DEFAULT_FILL_BUDGET,
     graph: GalleryGraph | None = None,
 ) -> FillResult:
     """Minimal number of (k+1)-simplices gallery-connecting every pair of faces.
 
-    ``lower`` is the best proven lower bound (at least the largest pairwise
-    gallery distance, and at least the minimal face cover); ``upper`` comes
-    from explicit fillings (a union of one shortest gallery per pair, or a
-    cone). The exact value comes from an iterative-deepening subset search
-    between the two; the search is only attempted while its estimated state
-    space fits the budget, and bounds are returned once the budget is
-    exhausted.
+    A star is a clique of the gallery graph, so the simplices a filling takes
+    from one star lie in one connected part of it; joining every pair then
+    means one connected part touches every star. The filling number is thus
+    the node-weighted group Steiner number of the stars, which the
+    Dreyfus–Wagner dynamic program over face subsets computes exactly:
+    ``tree[S][v]`` is the fewest nodes of a connected set that holds node v
+    and touches every star in S, and ``merged[S]`` is its value at nodes where
+    two parts of S meet, ``min over splits A|B of tree[A] + tree[B] - 1``,
+    from which ``tree[S]`` follows by unit-step relaxation.
     """
     face_set = sorted({tuple(sorted(f)) for f in faces})
     if len({len(f) for f in face_set}) > 1:
@@ -349,202 +328,59 @@ def fill_number(
         witness = (graph.nodes[min(common)],)
         return FillResult(1, 1, 1, witness)
 
-    # any filling covers every face, so the minimal face cover bounds it
-    # below; the 2^|S| table only pays off while |S| is small
-    use_cover = len(face_set) <= 12
-    cover_masks = _coverage_masks(graph.num_nodes, stars) if use_cover else None
-    lower = 1
-    cone = None
-    if use_cover:
-        cover_table = _min_cover_table(set(cover_masks.values()), len(face_set))
-        lower = max(lower, cover_table[(1 << len(face_set)) - 1])
-        # a cone (every face joined to one common vertex) matching the cover
-        # bound settles the minimum without any search
-        cone = _best_cone_filling(complex_, graph, face_set, stars)
-        if cone is not None and len(cone) == lower:
-            witness = tuple(graph.nodes[v] for v in sorted(cone))
-            return FillResult(lower, lower, lower, witness)
-
-    pair_indices = list(combinations(range(len(face_set)), 2))
-    dist_from_star = [graph.node_distances_from(star) for star in stars]
-
-    pair_paths = []
-    for a, b in pair_indices:
-        path = graph.shortest_gallery(stars[a], set(stars[b]))
-        if path is None:
+    for a, b in combinations(range(len(face_set)), 2):
+        if graph.components[stars[a][0]] != graph.components[stars[b][0]]:
             raise UnfillableError(
                 f"no gallery joins {face_set[a]!r} and {face_set[b]!r}"
             )
-        lower = max(lower, len(path))
-        pair_paths.append(path)
 
-    union_nodes = sorted({v for path in pair_paths for v in path})
-    if cone is not None and len(cone) < len(union_nodes):
-        union_nodes = sorted(cone)  # the cone is the smaller known filling
-    upper = len(union_nodes)
-    if lower == upper:
-        witness = tuple(graph.nodes[v] for v in union_nodes)
-        return FillResult(lower, upper, lower, witness)
+    # The spider, shortest galleries from `center` to every star, is a
+    # filling of `cap` nodes, so the tables need only be exact below cap:
+    # entries under cap are exact and the others only say "at least cap".
+    face_tables = [graph.face_table(f) for f in face_set]
+    spider = np.sum(face_tables, axis=0, dtype=np.int64) - (len(face_set) - 1)
+    center = int(spider.argmin())
+    cap = int(spider[center])
+    full = (1 << len(face_set)) - 1
+    tree = {1 << i: np.minimum(t, cap) for i, t in enumerate(face_tables)}
+    merged = {}
+    for subset in range(3, full + 1):
+        if subset & (subset - 1) == 0:
+            continue  # a single face: its table is a face table
+        best = None
+        for part in _splits(subset):
+            joined = tree[part] + tree[subset ^ part]
+            best = joined if best is None else np.minimum(best, joined, out=best)
+        best -= 1
+        merged[subset] = best
+        tree[subset] = (
+            best if subset == full else graph.relax(best.copy(), cap - 1)
+        )
 
-    searcher = _FillSearch(
-        graph, stars, pair_indices, dist_from_star, budget, cover_masks
-    )
-    exact, witness_ids, exhausted, states, proven_lower = searcher.run(lower, upper)
-    lower = max(lower, proven_lower)
-    if exact is None and not exhausted:
-        # every depth below `upper` was searched exhaustively
-        exact = upper
-        witness_ids = union_nodes
-        lower = upper
-    if exact is not None:
-        witness = tuple(graph.nodes[v] for v in sorted(witness_ids))
-        return FillResult(lower, upper, exact, witness, exhausted, states)
-    return FillResult(lower, upper, None, None, True, states)
-
-
-class _FillSearch:
-    """Iterative-deepening branch and bound over subsets of the gallery graph.
-
-    At depth t the candidate universe shrinks to nodes that can sit on a
-    <=t-node path between some pair of stars (any inclusion-minimal filling
-    lies inside it), subsets are enumerated in a fixed order so each is seen
-    once, and a partial choice is pruned when its size plus the worst-pair
-    connection deficit (a 0/1-BFS counting nodes outside the choice) exceeds t.
-    """
-
-    ESTIMATE_SLACK = 1000  # optimistic pruning factor for the size estimate
-
-    def __init__(self, graph, stars, pair_indices, dist_from_star, budget,
-                 cover_masks):
-        self.graph = graph
-        self.stars = [set(s) for s in stars]
-        self.pairs = pair_indices
-        self.dist = dist_from_star
-        self.budget = budget
-        self.cover_masks = cover_masks or {}
-        self.full_mask = (1 << len(stars)) - 1 if cover_masks else 0
-        self.states = 0
-
-    def run(self, lower, upper):
-        proven_lower = lower
-        for depth in range(lower, upper):
-            universe = self._universe(depth)
-            estimate = math.comb(len(universe), min(depth, len(universe)))
-            if estimate > self.budget * self.ESTIMATE_SLACK:
-                return None, None, True, self.states, proven_lower
-            self._universe_set = set(universe)
-            if self.full_mask:
-                self._cover_table = _min_cover_table(
-                    {self.cover_masks.get(v, 0) for v in universe} - {0},
-                    len(self.stars),
-                )
-            else:
-                self._cover_table = [0]
-            try:
-                found = self._dfs([], 0, universe, depth, self.full_mask)
-            except _BudgetExceeded:
-                return None, None, True, self.states, proven_lower
-            if found is not None:
-                return len(found), found, False, self.states, proven_lower
-            proven_lower = depth + 1
-        return None, None, False, self.states, proven_lower
-
-    def _universe(self, depth):
-        nodes = []
-        for v in range(self.graph.num_nodes):
-            best = min(
-                self.dist[a][v] + self.dist[b][v] - 1 for a, b in self.pairs
+    # Walk the tables back from the best meeting node of all faces, or from
+    # the spider's center when nothing beats the spider.
+    root = int(merged[full].argmin())
+    if merged[full][root] < cap:
+        exact, stack = int(merged[full][root]), [(full, root)]
+    else:
+        exact, stack = cap, [(1 << i, center) for i in range(len(face_set))]
+    chosen = set()
+    while stack:
+        subset, v = stack.pop()
+        chosen.add(v)
+        value = tree[subset][v]
+        if subset in merged and merged[subset][v] == value:
+            part = next(
+                p for p in _splits(subset)
+                if tree[p][v] + tree[subset ^ p][v] - 1 == value
             )
-            if best <= depth:
-                nodes.append(v)
-        # fixed heuristic order: most central first
-        nodes.sort(
-            key=lambda v: min(
-                self.dist[a][v] + self.dist[b][v] for a, b in self.pairs
-            )
-        )
-        return nodes
-
-    def _unconnected_pairs(self, chosen):
-        if not chosen:
-            return list(self.pairs)
-        parent = {v: v for v in chosen}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        adjacency = self.graph.adjacency
-        chosen_set = set(chosen)
-        for v in chosen:
-            for w in adjacency[v]:
-                if w in chosen_set:
-                    parent[find(v)] = find(w)
-        roots = [
-            {find(v) for v in chosen_set & star} for star in self.stars
-        ]
-        return [(a, b) for a, b in self.pairs if not (roots[a] & roots[b])]
-
-    def _connection_deficit(self, pair, chosen_set):
-        """Fewest nodes outside `chosen_set` on any universe path for the pair."""
-        a, b = pair
-        universe = self._universe_set
-        cost = {}
-        queue = deque()
-        for v in self.stars[a]:
-            if v in universe:
-                c = 0 if v in chosen_set else 1
-                cost[v] = c
-                if c == 0:
-                    queue.appendleft(v)
-                else:
-                    queue.append(v)
-        while queue:
-            v = queue.popleft()
-            base = cost[v]
-            for w in self.graph.adjacency[v]:
-                if w not in universe:
-                    continue
-                c = base + (0 if w in chosen_set else 1)
-                if c < cost.get(w, math.inf):
-                    cost[w] = c
-                    if c == base:
-                        queue.appendleft(w)
-                    else:
-                        queue.append(w)
-        return min(
-            (cost[v] for v in self.stars[b] if v in cost), default=math.inf
-        )
-
-    def _dfs(self, chosen, start, universe, depth, uncovered):
-        self.states += 1
-        if self.states > self.budget:
-            raise _BudgetExceeded
-        unconnected = self._unconnected_pairs(chosen)
-        if not unconnected:
-            return list(chosen)
-        if len(chosen) == depth:
-            return None
-        # cheap cover prune first, 0/1-BFS connection prune only if it survives
-        if len(chosen) + self._cover_table[uncovered] > depth:
-            return None
-        chosen_set = set(chosen)
-        deficit = max(
-            self._connection_deficit(pair, chosen_set) for pair in unconnected
-        )
-        if len(chosen) + deficit > depth:
-            return None
-        for i in range(start, len(universe)):
-            node = universe[i]
-            chosen.append(node)
-            still = uncovered & ~self.cover_masks.get(node, 0)
-            found = self._dfs(chosen, i + 1, universe, depth, still)
-            if found is not None:
-                return found
-            chosen.pop()
-        return None
+            stack += [(part, v), (subset ^ part, v)]
+        elif value > 1:
+            table = tree[subset]
+            w = next(w for w in graph.adjacency[v] if table[w] == value - 1)
+            stack.append((subset, w))
+    witness = tuple(graph.nodes[v] for v in sorted(chosen))
+    return FillResult(exact, exact, exact, witness, False, len(merged))
 
 
 @dataclass

@@ -7,6 +7,7 @@ produce byte-identical output across runs and platforms.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -32,8 +33,6 @@ def _encode(obj, pieces: list, indent: int, level: int) -> None:
     elif isinstance(obj, (float, np.floating)):
         pieces.append(format_float(float(obj)))
     elif isinstance(obj, str):
-        import json
-
         pieces.append(json.dumps(obj))
     elif isinstance(obj, dict):
         if not obj:
@@ -45,8 +44,6 @@ def _encode(obj, pieces: list, indent: int, level: int) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys must be strings, got {key!r}")
             pieces.append(inner)
-            import json
-
             pieces.append(json.dumps(key))
             pieces.append(": ")
             _encode(obj[key], pieces, indent, level + 1)

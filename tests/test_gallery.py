@@ -59,6 +59,28 @@ def brute_force_fill(complex_, faces):
     return None
 
 
+def connects_every_pair(graph, faces, witness):
+    """True iff every pair of stars is joined inside the witness alone."""
+    node_index = {s: i for i, s in enumerate(graph.nodes)}
+    chosen = {node_index[s] for s in witness}
+    for fa, fb in combinations(faces, 2):
+        sa = set(graph.star_indices(fa)) & chosen
+        sb = set(graph.star_indices(fb)) & chosen
+        reached = set(sa)
+        frontier = list(sa)
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for w in graph.adjacency[v]:
+                    if w in chosen and w not in reached:
+                        reached.add(w)
+                        nxt.append(w)
+            frontier = nxt
+        if not reached & sb:
+            return False
+    return True
+
+
 def bfs_graph_distance(complex_, u, v):
     """Plain BFS on the 1-skeleton, independent of the gallery machinery."""
     adjacency = {w: set() for (w,) in complex_.simplices(0)}
@@ -204,64 +226,78 @@ def test_fill_ordering_invariant():
 
 
 def test_fill_matches_brute_force_small():
-    for seed in range(6):
-        x = linial_meshulam(LmParams(6, 0.45, 1, seed=seed))
-        if x.simplex_count(2) == 0 or x.simplex_count(2) > 14:
-            continue
-        for sigma in combinations(range(6), 3):
-            faces = list(combinations(sigma, 2))
-            expected = brute_force_fill(x, faces)
-            if expected is None:
-                with pytest.raises(UnfillableError):
-                    fill_number(x, faces)
-            else:
-                assert fill_number(x, faces).exact == expected
+    # (N, p, k): triangle boundaries of 3 edges, tetrahedron boundaries of
+    # 4 triangles
+    for n, p, k in [(6, 0.45, 1), (6, 0.5, 2)]:
+        for seed in range(6):
+            x = linial_meshulam(LmParams(n, p, k, seed=seed))
+            if x.simplex_count(k + 1) == 0 or x.simplex_count(k + 1) > 14:
+                continue
+            for sigma in combinations(range(n), k + 2):
+                faces = list(combinations(sigma, k + 1))
+                expected = brute_force_fill(x, faces)
+                if expected is None:
+                    with pytest.raises(UnfillableError):
+                        fill_number(x, faces)
+                else:
+                    assert fill_number(x, faces).exact == expected
 
 
 def test_fill_witness_is_a_filling():
-    x = linial_meshulam(LmParams(9, 0.55, 1, seed=13))
-    graph = GalleryGraph(x, 1)
-    node_index = {s: i for i, s in enumerate(graph.nodes)}
-    for sigma in [(0, 1, 2), (2, 5, 8), (1, 4, 7)]:
-        faces = list(combinations(sigma, 2))
-        try:
-            result = fill_number(x, faces, graph=graph)
-        except UnfillableError:
-            continue
-        assert result.witness is not None
-        chosen = {node_index[s] for s in result.witness}
-        # re-check connectivity of every pair within the witness only
-        for fa, fb in combinations(faces, 2):
-            sa = set(graph.star_indices(fa)) & chosen
-            sb = set(graph.star_indices(fb)) & chosen
-            reached = set(sa)
-            frontier = list(sa)
-            while frontier:
-                nxt = []
-                for v in frontier:
-                    for w in graph.adjacency[v]:
-                        if w in chosen and w not in reached:
-                            reached.add(w)
-                            nxt.append(w)
-                frontier = nxt
-            assert reached & sb
+    cases = [
+        (LmParams(9, 0.55, 1, seed=13), [(0, 1, 2), (2, 5, 8), (1, 4, 7)]),
+        (LmParams(8, 0.5, 2, seed=13), [(0, 1, 2, 3), (0, 1, 3, 7), (0, 2, 3, 5)]),
+    ]
+    for params, sigmas in cases:
+        x = linial_meshulam(params)
+        graph = GalleryGraph(x, params.k)
+        for sigma in sigmas:
+            faces = list(combinations(sigma, params.k + 1))
+            try:
+                result = fill_number(x, faces, graph=graph)
+            except UnfillableError:
+                continue
+            assert len(result.witness) == result.exact
+            # re-check connectivity of every pair within the witness only
+            assert connects_every_pair(graph, faces, result.witness)
 
 
-def test_fill_budget_exhaustion_returns_bounds():
-    x = linial_meshulam(LmParams(10, 0.6, 1, seed=17))
-    target = None
-    for sigma in combinations(range(10), 3):
-        if not x.contains(sigma):
-            target = sigma
-            break
-    assert target is not None
-    faces = list(combinations(target, 2))
-    full = fill_number(x, faces)
-    assert full.exact is not None and full.exact > 1
-    tiny = fill_number(x, faces, budget=1)
-    if tiny.exact is None:
-        assert tiny.budget_exhausted
-        assert tiny.lower <= full.exact <= tiny.upper
+def test_fill_bounds_meet_on_every_member():
+    for params in [LmParams(10, 0.6, 1, seed=17), LmParams(7, 0.6, 2, seed=3)]:
+        x = linial_meshulam(params)
+        graph = GalleryGraph(x, params.k)
+        for sigma in combinations(range(params.num_vertices), params.k + 2):
+            faces = list(combinations(sigma, params.k + 1))
+            try:
+                result = fill_number(x, faces, graph=graph)
+            except UnfillableError:
+                continue
+            assert result.lower == result.upper == result.exact
+            assert result.exact == len(result.witness)
+            assert not result.budget_exhausted
+
+
+def test_fill_k2_member_with_fill_five():
+    # regression: a budgeted subset search could only bracket this as [5, 8]
+    x = linial_meshulam(LmParams(12, 0.6, 2, seed=1))
+    graph = GalleryGraph(x, 2)
+    faces = list(combinations((0, 2, 3, 7), 3))
+    result = fill_number(x, faces, graph=graph)
+    assert result.exact == result.lower == result.upper == 5
+    assert len(result.witness) == 5
+    assert connects_every_pair(graph, faces, result.witness)
+
+
+def test_fill_many_faces_beside_another_component():
+    # five faces in a strip of triangles; the lone triangle is unreachable
+    # from all of them
+    x = build_complex(
+        [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6), (10, 11, 12)]
+    )
+    faces = [(0, 1), (1, 3), (2, 4), (3, 5), (5, 6)]
+    result = fill_number(x, faces)
+    assert result.exact == brute_force_fill(x, faces) == 5
+    assert connects_every_pair(GalleryGraph(x, 1), faces, result.witness)
 
 
 def test_fill_empty_and_singleton():
