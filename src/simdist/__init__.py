@@ -19,12 +19,9 @@ from .complexes import (
     SimplicialComplex,
     build_complex,
     complete_complex,
-    is_pure,
-    link,
     load_complex,
     save_complex_json,
     save_complex_text,
-    weight,
 )
 from .distortion import (
     BoundaryFamily,

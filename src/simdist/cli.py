@@ -3,7 +3,7 @@
 Every subcommand echoes its full configuration (seed included) into the
 output, and identical configurations produce byte-identical files. Exit
 codes: 0 success, 1 failed verification or hypothesis failure, 2 input
-errors. DISTORTION_THREADS caps experiment parallelism.
+errors.
 """
 
 from __future__ import annotations

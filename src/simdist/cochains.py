@@ -36,14 +36,12 @@ __all__ = [
     "exact_rank",
     "inner_product",
     "norm",
-    "numerical_rank",
     "random_cochain",
     "spectrum",
     "upper_laplacian",
 ]
 
 DENSE_EIGENSOLVE_LIMIT = 3000
-EXACT_RANK_LIMIT = 2000
 DEFAULT_TOLERANCE = 1e-8
 
 # 31-bit primes: entries stay below p, so int64 products in the vectorized
@@ -264,11 +262,14 @@ def spectrum(
 
     # Iterative path: only the least nonzero eigenvalue, deflating the known
     # kernel (image of d_{k-1}, plus constants at k=0) by a spectral shift.
+    # The h kernel directions outside that image (the cohomology) stay at
+    # zero, so the gap is the (h+1)-th smallest eigenvalue of the shifted op.
     basis = _kernel_image_basis(complex_, k, lap)
-    if basis.shape[1] != kernel_dim:
+    h = kernel_dim - basis.shape[1]
+    if h < 0:
         raise SpectralMismatchError(
-            f"coboundary image spans {basis.shape[1]} of {kernel_dim} kernel "
-            f"dimensions (nonzero cohomology); iterative gap solve unavailable"
+            f"coboundary image spans {basis.shape[1]} dimensions but the "
+            f"kernel of the degree-{k} coboundary has dimension {kernel_dim}"
         )
     shift = float(k + 3)  # above the spectral ceiling k+2
 
@@ -277,13 +278,15 @@ def spectrum(
 
     op = sparse_linalg.LinearOperator((n_k, n_k), matvec=matvec)
     try:
-        vals = sparse_linalg.eigsh(op, k=1, which="SA", return_eigenvectors=False)
+        vals = sparse_linalg.eigsh(op, k=h + 1, which="SA", return_eigenvectors=False)
     except sparse_linalg.ArpackNoConvergence as exc:
         raise SpectralError(f"iterative eigensolver did not converge: {exc}") from exc
-    lam = float(vals[0])
-    if lam <= tolerance:
+    vals = np.sort(vals)
+    lam = float(vals[-1])
+    if np.any(vals[:-1] > tolerance) or lam <= tolerance:
         raise SpectralMismatchError(
-            f"iterative gap {lam} is below tolerance {tolerance} after deflation"
+            f"iterative solve found {int(np.sum(vals <= tolerance))} of {h + 1} "
+            f"eigenvalues below {tolerance} after deflation; expected {h}"
         )
     return SpectralResult(np.array([lam]), kernel_dim, lam, tolerance, False)
 
@@ -303,7 +306,7 @@ def _kernel_image_basis(
     return q[:, keep]
 
 
-# -- exact and numerical rank -------------------------------------------------
+# -- exact rank ---------------------------------------------------------------
 
 
 def _as_int_array(matrix) -> np.ndarray:
@@ -380,42 +383,30 @@ def exact_rank(matrix) -> int:
     return _rank_over_rationals(a)
 
 
-def numerical_rank(matrix, tolerance: float) -> int:
-    if sparse.issparse(matrix):
-        matrix = matrix.toarray()
-    arr = np.asarray(matrix, dtype=float)
-    if min(arr.shape) == 0:
-        return 0
-    singulars = np.linalg.svd(arr, compute_uv=False)
-    return int(np.sum(singulars > tolerance))
-
-
 def cohomology_dim(
     complex_: SimplicialComplex,
     k: int,
-    tolerance: float = DEFAULT_TOLERANCE,
+    kernel_dim: int | None = None,
 ) -> int:
     """dim ker d_k - rank d_{k-1}, with the reduced convention at k=0.
 
     The reduced convention takes the degree -1 space to be the constants, so
-    the degree-0 dimension counts connected components minus one. Rank is
-    exact up to EXACT_RANK_LIMIT columns, numerical above.
+    the degree-0 dimension counts connected components minus one. Ranks are
+    exact integer ranks at every size. A caller that already knows
+    dim ker d_k (a verified spectrum's zero multiplicity) passes it as
+    `kernel_dim`, and then only d_{k-1} is ranked.
     """
     if k < 0 or k > complex_.dim:
         raise DegreeError(f"degree {k} outside 0..{complex_.dim}")
-    n_k = complex_.simplex_count(k)
-
-    def _rank(mat):
-        if n_k <= EXACT_RANK_LIMIT:
-            return exact_rank(mat)
-        return numerical_rank(mat, tolerance)
-
-    rank_up = 0 if k == complex_.dim else _rank(differential_matrix(complex_, k))
+    if kernel_dim is None:
+        kernel_dim = complex_.simplex_count(k)
+        if k < complex_.dim:
+            kernel_dim -= exact_rank(differential_matrix(complex_, k))
     if k == 0:
         rank_down = 1 if complex_.num_vertices else 0
     else:
-        rank_down = _rank(differential_matrix(complex_, k - 1))
-    return (n_k - rank_up) - rank_down
+        rank_down = exact_rank(differential_matrix(complex_, k - 1))
+    return kernel_dim - rank_down
 
 
 def random_cochain(

@@ -20,13 +20,10 @@ __all__ = [
     "SimplicialComplex",
     "build_complex",
     "complete_complex",
-    "is_pure",
-    "link",
     "load_complex",
     "save_complex_json",
     "save_complex_text",
     "sort_with_sign",
-    "weight",
 ]
 
 
@@ -143,6 +140,7 @@ class SimplicialComplex:
 
     @property
     def is_pure(self) -> bool:
+        """True iff every simplex is a face of a top-dimensional simplex."""
         return self._pure
 
     def simplices(self, k: int) -> list[tuple[int, ...]]:
@@ -194,6 +192,7 @@ class SimplicialComplex:
         return self._weights[k]
 
     def weight(self, simplex) -> int:
+        """(n-k)! times the number of top simplices containing ``simplex``."""
         if not self._pure:
             raise NotPureError("weights are only defined on pure complexes")
         s = _canonical(simplex)
@@ -251,20 +250,6 @@ def build_complex(maximal_simplices) -> SimplicialComplex:
     Entries that turn out to be faces of other entries are absorbed.
     """
     return SimplicialComplex(maximal_simplices)
-
-
-def is_pure(complex_: SimplicialComplex) -> bool:
-    """True iff every simplex is a face of a top-dimensional simplex."""
-    return complex_.is_pure
-
-
-def weight(complex_: SimplicialComplex, simplex) -> int:
-    """(n-k)! times the number of top simplices containing ``simplex``."""
-    return complex_.weight(simplex)
-
-
-def link(complex_: SimplicialComplex, simplex) -> SimplicialComplex:
-    return complex_.link(simplex)
 
 
 # -- file formats ------------------------------------------------------------

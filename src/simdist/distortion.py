@@ -10,8 +10,6 @@ of the upper Laplacian turns counting data into a lower bound for it.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -123,18 +121,21 @@ def compute_hypotheses(
 ) -> HypothesisReport:
     """Evaluate purity, gallery connectivity, vanishing cohomology, and the
     verified spectral gap at level k. Degenerate instances (no k-simplices or
-    no (k+1)-simplices) report the corresponding flags as failing."""
+    no (k+1)-simplices) report the corresponding flags as failing.
+
+    d_k is ranked once: the spectrum's verified zero multiplicity is
+    dim ker d_k, and the cohomology dimension reuses it."""
     pure = complex_.is_pure
     if k > complex_.dim:
         return HypothesisReport(k, pure, False, True, None, None, tolerance)
     gallery_connected = is_gallery_connected(complex_, k)
-    cohomology_zero = cohomology_dim(complex_, k, tolerance) == 0
     lam = None
     zero_mult = None
     if pure and k <= complex_.dim - 1:
         spectral = spectrum(complex_, k, tolerance)
         lam = spectral.lambda_min_nonzero
         zero_mult = spectral.zero_multiplicity
+    cohomology_zero = cohomology_dim(complex_, k, zero_mult) == 0
     return HypothesisReport(
         k, pure, gallery_connected, cohomology_zero, lam, zero_mult, tolerance
     )
@@ -765,14 +766,6 @@ class ExperimentReport:
         }
 
 
-def _experiment_workers() -> int:
-    raw = os.environ.get("DISTORTION_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def lm_distortion_experiment(
     params: LmParams,
     spec: EmbeddingSpec,
@@ -835,12 +828,7 @@ def lm_distortion_experiment(
             infinite=infinite, applicable=applicable, consistent=consistent,
         )
 
-    workers = _experiment_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_trial, range(trials)))
-    else:
-        records = [run_trial(t) for t in range(trials)]
+    records = [run_trial(t) for t in range(trials)]
 
     k = params.k
     n = params.num_vertices
@@ -900,11 +888,11 @@ def verify_instance(
         for _ in range(num_random_cochains):
             phi = random_cochain(complex_, k, rng)
             psi = random_cochain(complex_, k + 1, rng)
-            lhs = inner_product(complex_, differential(complex_, phi), psi)
+            d_phi = differential(complex_, phi)
+            lhs = inner_product(complex_, d_phi, psi)
             rhs = inner_product(complex_, phi, adjoint_differential(complex_, psi))
             scale = norm(complex_, phi) * norm(complex_, psi) + 1.0
             adj_worst = max(adj_worst, abs(lhs - rhs) / scale)
-            d_phi = differential(complex_, phi)
             energy = inner_product(complex_, d_phi, d_phi)
             rayleigh = float(
                 np.dot(lap.weights_k * lap.apply(phi.values), phi.values)

@@ -15,7 +15,6 @@ from simdist.cochains import (
     exact_rank,
     inner_product,
     norm,
-    numerical_rank,
     random_cochain,
     spectrum,
     upper_laplacian,
@@ -139,19 +138,39 @@ def test_tolerance_mismatch_is_hard_error():
         spectrum(complete_complex(2, 1), 0, tolerance=3.0)
 
 
+def _annulus(steps):
+    """Two triangles per step around a ring: inner i, outer steps+i; H^1 = 1."""
+    tops = []
+    for i in range(steps):
+        j = (i + 1) % steps
+        tops += [(i, steps + i, j), (steps + i, steps + j, j)]
+    return build_complex(tops)
+
+
 def test_iterative_gap_matches_dense(monkeypatch):
     import simdist.cochains as cochains_module
+    from simdist.distortion import compute_hypotheses
 
+    # the last two have nonzero cohomology: the iterative path must keep
+    # those kernel directions at zero and still find the gap above them
     samples = [
         (complete_complex(8, 1), 0),
         (linial_meshulam(LmParams(9, 0.9, 1, seed=6)), 1),
+        (_annulus(10), 1),
+        (linial_meshulam(LmParams(10, 0.3, 1, seed=15)), 1),
     ]
-    dense = [spectrum(x, k).lambda_min_nonzero for x, k in samples]
+    dense = [spectrum(x, k) for x, k in samples]
+    flags = [compute_hypotheses(x, k).flags_string() for x, k in samples]
+    assert flags[2] == "1101"
     monkeypatch.setattr(cochains_module, "DENSE_EIGENSOLVE_LIMIT", 1)
-    for (x, k), reference in zip(samples, dense):
+    for (x, k), reference, flag in zip(samples, dense, flags):
         result = spectrum(x, k)
         assert not result.dense
-        assert result.lambda_min_nonzero == pytest.approx(reference, rel=1e-6)
+        assert result.zero_multiplicity == reference.zero_multiplicity
+        assert result.lambda_min_nonzero == pytest.approx(
+            reference.lambda_min_nonzero, rel=1e-6
+        )
+        assert compute_hypotheses(x, k).flags_string() == flag
 
 
 def test_spectrum_eigenvalue_range():
@@ -228,7 +247,6 @@ def test_exact_rank_on_boundary_matrices():
     x = complete_complex(7, 2)
     mat = differential_matrix(x, 1)
     assert exact_rank(mat) == _fraction_rank(mat.toarray())
-    assert numerical_rank(mat, 1e-10) == exact_rank(mat)
 
 
 def test_cohomology_complete_complex_vanishes():

@@ -12,12 +12,9 @@ from simdist.complexes import (
     NotPureError,
     build_complex,
     complete_complex,
-    is_pure,
-    link,
     load_complex,
     save_complex_json,
     save_complex_text,
-    weight,
 )
 
 
@@ -25,7 +22,7 @@ def test_single_triangle_closure():
     x = build_complex([(0, 1, 2)])
     assert x.f_vector() == (3, 3, 1)
     assert x.dim == 2
-    assert is_pure(x)
+    assert x.is_pure
 
 
 def test_path_graph():
@@ -37,9 +34,9 @@ def test_path_graph():
 
 def test_non_pure_detected():
     x = build_complex([(0, 1, 2), (2, 3)])
-    assert not is_pure(x)
+    assert not x.is_pure
     with pytest.raises(NotPureError):
-        weight(x, (2, 3))
+        x.weight((2, 3))
 
 
 def test_build_rejects_bad_input():
@@ -59,7 +56,7 @@ def test_complete_graph_vertex_weight():
     for n in (3, 5, 8):
         kn = complete_complex(n, 1)
         for v in range(n):
-            assert weight(kn, (v,)) == n - 1
+            assert kn.weight((v,)) == n - 1
 
 
 def test_single_simplex_face_weights():
@@ -67,13 +64,13 @@ def test_single_simplex_face_weights():
     x = build_complex([tuple(range(n + 1))])
     for k in range(n + 1):
         for face in combinations(range(n + 1), k + 1):
-            assert weight(x, face) == math.factorial(n - k)
+            assert x.weight(face) == math.factorial(n - k)
 
 
 def test_weight_not_in_complex():
     x = build_complex([(0, 1, 2)])
     with pytest.raises(MissingSimplexError):
-        weight(x, (0, 3))
+        x.weight((0, 3))
 
 
 def _weight_total_holds(x):
@@ -125,19 +122,19 @@ def test_relabeling_preserves_weight_multisets(perm):
 
 def test_link_of_vertex_in_triangle():
     x = build_complex([(0, 1, 2)])
-    lk = link(x, (0,))
+    lk = x.link((0,))
     assert lk.f_vector() == (2, 1)
     assert lk.labels == (1, 2)
 
 
 def test_link_of_empty_simplex_is_complex():
     x = build_complex([(0, 1, 2)])
-    assert link(x, ()) is x
+    assert x.link(()) is x
 
 
 def test_link_of_shared_edge():
     x = build_complex([(0, 1, 2), (1, 2, 3)])
-    lk = link(x, (1, 2))
+    lk = x.link((1, 2))
     assert lk.dim == 0
     assert lk.simplex_count(0) == 2
     assert lk.labels == (0, 3)
@@ -145,7 +142,7 @@ def test_link_of_shared_edge():
 
 def test_link_of_maximal_simplex_is_empty():
     x = build_complex([(0, 1, 2)])
-    lk = link(x, (0, 1, 2))
+    lk = x.link((0, 1, 2))
     assert lk.dim == -1
     assert lk.num_vertices == 0
 
@@ -153,7 +150,7 @@ def test_link_of_maximal_simplex_is_empty():
 def test_link_missing_simplex():
     x = build_complex([(0, 1, 2)])
     with pytest.raises(MissingSimplexError):
-        link(x, (0, 4))
+        x.link((0, 4))
 
 
 def test_link_downward_closed_and_dim_bound():

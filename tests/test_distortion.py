@@ -384,17 +384,6 @@ def test_lm_experiment_smoke():
     assert report.reference_bound is not None
 
 
-def test_thread_cap_preserves_results(monkeypatch):
-    params = LmParams(9, 0.9, 1, seed=8)
-    spec = EmbeddingSpec.parse("gaussian:3:21")
-    serial = lm_distortion_experiment(params, spec, trials=4)
-    monkeypatch.setenv("DISTORTION_THREADS", "3")
-    threaded = lm_distortion_experiment(params, spec, trials=4)
-    assert [r.to_dict() for r in serial.records] == [
-        r.to_dict() for r in threaded.records
-    ]
-
-
 def test_reference_bound_grows_in_sparse_regime():
     # p = C ln(N)/N: the reference lower bound should grow with N
     c = 3.0
