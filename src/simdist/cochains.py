@@ -8,6 +8,7 @@ integer weight of the complex, which absorbs the (k+1)! orderings exactly.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -116,14 +117,16 @@ def differential_matrix(complex_: SimplicialComplex, k: int) -> sparse.csr_matri
     """Signed incidence matrix of d_k: rows (k+1)-simplices, columns k-simplices.
 
     Entries are exact integers. Valid on non-pure complexes too; k equal to
-    the dimension gives the zero map (no rows).
+    the dimension gives the zero map (no rows). Built once per complex and
+    degree; the shared matrix is read-only, so an in-place edit raises.
     """
     if k < 0 or k > complex_.dim:
         raise DegreeError(f"degree {k} outside 0..{complex_.dim}")
+    cached = complex_._differentials.get(k)
+    if cached is not None:
+        return cached
     n_rows = complex_.simplex_count(k + 1)
     n_cols = complex_.simplex_count(k)
-    if n_rows == 0:
-        return sparse.csr_matrix((0, n_cols), dtype=np.int64)
     rows, cols, data = [], [], []
     index = {s: i for i, s in enumerate(complex_.simplices(k))}
     for j, s in enumerate(complex_.simplices(k + 1)):
@@ -132,10 +135,14 @@ def differential_matrix(complex_: SimplicialComplex, k: int) -> sparse.csr_matri
             rows.append(j)
             cols.append(index[facet])
             data.append(1 if i % 2 == 0 else -1)
-    return sparse.csr_matrix(
+    mat = sparse.csr_matrix(
         (np.array(data, dtype=np.int64), (rows, cols)),
         shape=(n_rows, n_cols),
     )
+    for arr in (mat.data, mat.indices, mat.indptr):
+        arr.flags.writeable = False
+    complex_._differentials[k] = mat
+    return mat
 
 
 def differential(complex_: SimplicialComplex, phi: Cochain) -> Cochain:
@@ -244,7 +251,7 @@ def spectrum(
     """
     lap = upper_laplacian(complex_, k)
     n_k = lap.dim
-    kernel_dim = n_k - exact_rank(lap.boundary)
+    kernel_dim = n_k - _coboundary_rank(complex_, k)
     if n_k <= DENSE_EIGENSOLVE_LIMIT:
         try:
             eigenvalues = np.linalg.eigvalsh(lap.dense())
@@ -277,8 +284,12 @@ def spectrum(
         return lap.symmetric @ v + shift * (basis @ (basis.T @ v))
 
     op = sparse_linalg.LinearOperator((n_k, n_k), matvec=matvec)
+    # a fixed start vector: ARPACK's default is random, and so would be λ's last digits
+    v0 = np.random.Generator(np.random.Philox(key=0)).standard_normal(n_k)
     try:
-        vals = sparse_linalg.eigsh(op, k=h + 1, which="SA", return_eigenvectors=False)
+        vals = sparse_linalg.eigsh(
+            op, k=h + 1, which="SA", v0=v0, return_eigenvectors=False
+        )
     except sparse_linalg.ArpackNoConvergence as exc:
         raise SpectralError(f"iterative eigensolver did not converge: {exc}") from exc
     vals = np.sort(vals)
@@ -309,15 +320,47 @@ def _kernel_image_basis(
 # -- exact rank ---------------------------------------------------------------
 
 
-def _as_int_array(matrix) -> np.ndarray:
-    if sparse.issparse(matrix):
-        arr = matrix.toarray()
-    else:
-        arr = np.asarray(matrix)
-    out = np.asarray(arr, dtype=np.int64)
-    if not np.array_equal(out, arr):
+def _integer_entries(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """Rows, columns and values of the nonzero entries, as int64 arrays."""
+    if not sparse.issparse(matrix):
+        matrix = np.atleast_2d(np.asarray(matrix))
+    coo = sparse.coo_matrix(matrix)
+    coo.sum_duplicates()
+    values = coo.data.astype(np.int64)
+    if not np.array_equal(values, coo.data):
         raise ValueError("exact rank needs an integer matrix")
-    return out
+    live = values != 0
+    return (coo.row[live].astype(np.int64), coo.col[live].astype(np.int64),
+            values[live], coo.shape)
+
+
+def _peel_singletons(rows, cols, values, shape):
+    """Pivot away every row or column holding exactly one live nonzero.
+
+    Such a pivot adds 1 to the rank over Q whatever the entry: the other
+    entries of its line are cleared by operations that touch nothing else,
+    and the pivot's row and column drop out without fill-in. Passes alternate
+    between singleton columns and singleton rows until neither finds one.
+    Returns the pivot count and the entries of the remaining core.
+    """
+    rank = 0
+    idle = 0
+    axis = 0  # 0: singleton columns, pivot rows removed; 1: the transpose
+    while rows.size and idle < 2:
+        lines, cross = (cols, rows) if axis == 0 else (rows, cols)
+        single = np.bincount(lines, minlength=shape[1 - axis])[lines] == 1
+        hit = np.zeros(shape[axis], dtype=bool)
+        hit[cross[single]] = True  # one pivot per hit cross line
+        pivots = int(np.count_nonzero(hit))
+        if pivots:
+            rank += pivots
+            keep = ~hit[cross]
+            rows, cols, values = rows[keep], cols[keep], values[keep]
+            idle = 0
+        else:
+            idle += 1
+        axis = 1 - axis
+    return rank, rows, cols, values
 
 
 def _rank_mod_p(matrix: np.ndarray, p: int) -> int:
@@ -366,21 +409,42 @@ def _rank_over_rationals(matrix: np.ndarray) -> int:
 
 
 def exact_rank(matrix) -> int:
-    """Rank of an integer matrix over the rationals.
+    """Rank of an integer matrix over the rationals, dense or sparse.
 
-    Elimination runs over two fixed 31-bit prime fields (each gives a lower
-    bound on the rational rank); disagreement falls back to exact Fraction
+    Singleton rows and columns are peeled first (exact, no fill-in), so the
+    input is never densified; only the core they leave is. The core is
+    eliminated over two fixed 31-bit prime fields (each gives a lower bound
+    on the rational rank); disagreement falls back to exact Fraction
     elimination. Both primes dividing a nonzero invariant factor at desk
     scale is the only way the fast path could be wrong.
     """
-    a = _as_int_array(matrix)
-    if min(a.shape) == 0:
-        return 0
-    r0 = _rank_mod_p(a, _RANK_PRIMES[0])
-    r1 = _rank_mod_p(a, _RANK_PRIMES[1])
+    rows, cols, values, shape = _integer_entries(matrix)
+    rank, rows, cols, values = _peel_singletons(rows, cols, values, shape)
+    if not rows.size:
+        return rank
+    core_rows, rows = np.unique(rows, return_inverse=True)
+    core_cols, cols = np.unique(cols, return_inverse=True)
+    core = np.zeros((core_rows.size, core_cols.size), dtype=np.int64)
+    core[rows, cols] = values
+    r0 = _rank_mod_p(core, _RANK_PRIMES[0])
+    r1 = _rank_mod_p(core, _RANK_PRIMES[1])
     if r0 == r1:
-        return r0
-    return _rank_over_rationals(a)
+        return rank + r0
+    return rank + _rank_over_rationals(core)
+
+
+def _coboundary_rank(complex_: SimplicialComplex, k: int) -> int:
+    """Exact rank of d_k, with the columns of the k-simplices through vertex 0 left out.
+
+    Those columns lie in the span of the others: for a k-simplex {0} + rho,
+    d_k d_{k-1} e_rho = 0 writes its column through the columns of the other
+    k-simplices containing rho, none of which contains vertex 0 (at k=0 the
+    rows sum to zero). Without them every (k+1)-simplex through vertex 0 is
+    a singleton row of the rest, which starts the peel in `exact_rank`.
+    Vertex 0's k-simplices come first in canonical order.
+    """
+    through = bisect.bisect_left(complex_.simplices(k), (1,))
+    return exact_rank(differential_matrix(complex_, k)[:, through:])
 
 
 def cohomology_dim(
@@ -401,11 +465,11 @@ def cohomology_dim(
     if kernel_dim is None:
         kernel_dim = complex_.simplex_count(k)
         if k < complex_.dim:
-            kernel_dim -= exact_rank(differential_matrix(complex_, k))
+            kernel_dim -= _coboundary_rank(complex_, k)
     if k == 0:
         rank_down = 1 if complex_.num_vertices else 0
     else:
-        rank_down = exact_rank(differential_matrix(complex_, k - 1))
+        rank_down = _coboundary_rank(complex_, k - 1)
     return kernel_dim - rank_down
 
 

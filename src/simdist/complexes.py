@@ -85,7 +85,7 @@ class SimplicialComplex:
     """
 
     __slots__ = ("dim", "labels", "_label_to_id", "_simplices", "_index",
-                 "_cofaces", "_weights", "_pure")
+                 "_cofaces", "_weights", "_pure", "_differentials")
 
     def __init__(self, generating_simplices, *, allow_empty: bool = False):
         generating = [_canonical(s) for s in generating_simplices]
@@ -131,6 +131,8 @@ class SimplicialComplex:
                     for i in range(len(self._simplices[k]))
                 ]
         self._pure = all(all(w > 0 for w in level) for level in self._weights)
+        # incidence matrices by degree, filled by cochains.differential_matrix
+        self._differentials: dict = {}
 
     # -- basic queries ------------------------------------------------------
 

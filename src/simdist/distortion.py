@@ -147,7 +147,9 @@ class BoundaryFamily:
     Caches the statistics the inequalities need: s (max faces per member),
     the per-simplex membership counts, and l (min over counted k-simplices of
     weight/count, exact as a Fraction). Statistics are recomputed from the
-    members, never user-supplied.
+    members, never user-supplied. With `vertex_sets` (sorted rows, member i
+    the boundary of row i), `face_indices[i, j]` is the index of the face
+    that omits vertex j of row i; that face carries the sign (-1)^j.
     """
 
     def __init__(self, complex_: SimplicialComplex, k: int, members, *,
@@ -156,22 +158,25 @@ class BoundaryFamily:
         members = tuple(members)
         if not members:
             raise ValueError("a boundary family needs at least one member")
-        counts = np.zeros(complex_.simplex_count(k), dtype=np.int64)
-        s = 0
+        face_indices = []
         for member in members:
             if member.k != k:
                 raise DegreeError(f"member of dimension {member.k}, expected {k}")
             if len(member.faces) < 2:
                 raise ValueError("polytope boundaries have at least two faces")
-            for face, _ in member.faces:
-                counts[complex_.index_of(face)] += 1
-            s = max(s, len(member.faces))
+            face_indices.append([complex_.index_of(face) for face, _ in member.faces])
         self.complex = complex_
         self.k = k
         self.members = members
-        self.s = s
-        self.counts = counts
+        self.s = max(map(len, face_indices))
+        self.counts = np.bincount(
+            [i for row in face_indices for i in row],
+            minlength=complex_.simplex_count(k),
+        ).astype(np.int64)
         self.vertex_sets = vertex_sets
+        self.face_indices = (
+            None if vertex_sets is None else np.array(face_indices, dtype=np.int64)
+        )
         self.covers_all_simplex_boundaries = covers_all_simplex_boundaries
 
     @property
@@ -231,6 +236,18 @@ def boundary_pairing(phi: Cochain, boundary: OrientedBoundary) -> float:
     )
 
 
+def _simplex_boundary_pairings(phi: Cochain, face_indices: np.ndarray) -> list[float]:
+    """`boundary_pairing` of phi with every simplex boundary of a face table.
+
+    Accumulates v0 - v1 + v2 ... one column at a time, the order in which
+    `boundary_pairing` sums, so every value is bitwise the same."""
+    gathered = phi.values[face_indices]
+    total = gathered[:, 0]
+    for j in range(1, gathered.shape[1]):
+        total = total - gathered[:, j] if j % 2 else total + gathered[:, j]
+    return total.tolist()
+
+
 @dataclass
 class InequalityCheck:
     """One evaluation of a spectral filling inequality."""
@@ -279,9 +296,11 @@ def cochain_energy_inequality(
     if applicable and lhs is not None:
         l_value = family.l
         coefficient = l_value * hyp.lambda_min_nonzero / family.s
-        rhs = coefficient * sum(
-            boundary_pairing(phi, member) ** 2 for member in family.members
-        )
+        if family.face_indices is not None:
+            pairings = _simplex_boundary_pairings(phi, family.face_indices)
+        else:
+            pairings = [boundary_pairing(phi, member) for member in family.members]
+        rhs = coefficient * sum(value ** 2 for value in pairings)
         margin = lhs - rhs
     return InequalityCheck(lhs, rhs, margin, l_value, family.s,
                            hyp.lambda_min_nonzero, hyp, applicable and lhs is not None)

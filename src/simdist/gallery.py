@@ -13,9 +13,11 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
+import scipy.sparse as sparse
+from scipy.sparse import csgraph
 
 from .complexes import DegreeError, MissingSimplexError, SimplicialComplex
 
@@ -199,17 +201,32 @@ def is_gallery_connected(
 
     Requires every k-simplex to lie in some (k+1)-simplex (the quantifier
     includes a simplex paired with itself) and the gallery graph connected.
+    Without a `graph`, connectivity is read off the face-coface incidence:
+    two (k+1)-simplices sharing a k-face are two steps apart in it.
     """
     if k < 0 or k > complex_.dim:
         raise DegreeError(f"degree {k} outside 0..{complex_.dim}")
-    if graph is None:
-        graph = GalleryGraph(complex_, k)
-    if complex_.simplex_count(k + 1) == 0:
+    n_faces = complex_.simplex_count(k)
+    n_nodes = complex_.simplex_count(k + 1)
+    if n_nodes == 0:
         return False
-    for i in range(complex_.simplex_count(k)):
-        if not complex_.coface_indices(k, i):
-            return False
-    return len(set(graph.components)) <= 1
+    stars = [complex_.coface_indices(k, i) for i in range(n_faces)]
+    if not all(stars):
+        return False
+    if graph is not None:
+        return len(set(graph.components)) <= 1
+    # rows 0..n_nodes-1 are the (k+1)-simplices, with no entries of their
+    # own; row n_nodes + i lists the cofaces of k-simplex i
+    ends = np.cumsum(np.fromiter(map(len, stars), dtype=np.int32, count=n_faces))
+    cofaces = np.fromiter(chain.from_iterable(stars), dtype=np.int32, count=int(ends[-1]))
+    indptr = np.concatenate([np.zeros(n_nodes + 1, dtype=np.int32), ends])
+    size = n_nodes + n_faces
+    # float64 entries: csgraph would convert any other dtype on every call
+    incidence = sparse.csr_matrix(
+        (np.ones(cofaces.size), cofaces, indptr), shape=(size, size)
+    )
+    count, _ = csgraph.connected_components(incidence, directed=False)
+    return count == 1
 
 
 def gallery_distances_from(

@@ -1,11 +1,15 @@
+import bisect
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import simdist.cochains as cochains_module
 from simdist.cochains import (
     Cochain,
     adjoint_differential,
@@ -148,7 +152,6 @@ def _annulus(steps):
 
 
 def test_iterative_gap_matches_dense(monkeypatch):
-    import simdist.cochains as cochains_module
     from simdist.distortion import compute_hypotheses
 
     # the last two have nonzero cohomology: the iterative path must keep
@@ -171,6 +174,15 @@ def test_iterative_gap_matches_dense(monkeypatch):
             reference.lambda_min_nonzero, rel=1e-6
         )
         assert compute_hypotheses(x, k).flags_string() == flag
+
+
+def test_iterative_spectrum_is_deterministic(monkeypatch):
+    monkeypatch.setattr(cochains_module, "DENSE_EIGENSOLVE_LIMIT", 100)
+    x = linial_meshulam(LmParams(20, 0.5, 1, seed=1))
+    first = spectrum(x, 1)
+    second = spectrum(x, 1)
+    assert not first.dense
+    assert first.lambda_min_nonzero == second.lambda_min_nonzero
 
 
 def test_spectrum_eigenvalue_range():
@@ -241,12 +253,87 @@ def test_exact_rank_matches_fraction_oracle(seed, rows, cols):
     rng = _rng(seed)
     matrix = rng.integers(-4, 5, size=(rows, cols))
     assert exact_rank(matrix) == _fraction_rank(matrix)
+    assert exact_rank(sparse.csr_matrix(matrix)) == _fraction_rank(matrix)
 
 
 def test_exact_rank_on_boundary_matrices():
     x = complete_complex(7, 2)
     mat = differential_matrix(x, 1)
     assert exact_rank(mat) == _fraction_rank(mat.toarray())
+
+
+def _rp2():
+    """Six-vertex real projective plane: integer cohomology has 2-torsion."""
+    return build_complex([
+        (1, 2, 4), (1, 2, 6), (1, 3, 4), (1, 3, 5), (1, 5, 6),
+        (2, 3, 5), (2, 3, 6), (2, 4, 5), (3, 4, 6), (4, 5, 6),
+    ])
+
+
+def _torus():
+    """Seven-vertex torus."""
+    return build_complex(
+        [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)]
+        + [(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)]
+    )
+
+
+def _random_pure_complexes(count, seed):
+    """Pure 2-complexes from a few random triangles, without complete skeleta."""
+    rng = _rng(seed)
+    out = []
+    while len(out) < count:
+        n = int(rng.integers(5, 9))
+        tops = {tuple(sorted(rng.choice(n, 3, replace=False).tolist()))
+                for _ in range(int(rng.integers(3, 12)))}
+        x = build_complex(tops)
+        if x.is_pure:
+            out.append(x)
+    return out
+
+
+def _core_entries(x, k):
+    """Nonzeros left after the peel of d_k without vertex 0's star columns."""
+    through = bisect.bisect_left(x.simplices(k), (1,))
+    entries = cochains_module._integer_entries(differential_matrix(x, k)[:, through:])
+    _, rows, _, _ = cochains_module._peel_singletons(*entries)
+    return rows.size
+
+
+def test_coboundary_rank_matches_fraction_oracle():
+    cores = 0
+    for x in [_rp2(), _torus()] + _random_pure_complexes(60, seed=4):
+        for k in range(x.dim):
+            mat = differential_matrix(x, k)
+            expected = _fraction_rank(mat.toarray())
+            assert exact_rank(mat) == expected
+            assert cochains_module._coboundary_rank(x, k) == expected
+            cores += _core_entries(x, k) > 0
+    assert _core_entries(_rp2(), 1) > 0  # the two-prime path on a core runs
+    assert cores > 2
+
+
+def test_coboundary_rank_matches_dense_two_prime_rank():
+    for params in (LmParams(30, 0.35, 1, seed=1), LmParams(9, 0.6, 2, seed=1)):
+        x = linial_meshulam(params)
+        for k in range(x.dim):
+            dense = differential_matrix(x, k).toarray()
+            ranks = {cochains_module._rank_mod_p(dense, p)
+                     for p in cochains_module._RANK_PRIMES}
+            assert ranks == {cochains_module._coboundary_rank(x, k)}
+
+
+def test_cohomology_dim_never_densifies():
+    # d_1 is 110,611 x 11,175 here: a dense int64 copy would take 9.9 GB
+    x = linial_meshulam(LmParams(150, 0.2, 1, seed=1))
+    tracemalloc.start()
+    try:
+        dim = cohomology_dim(x, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dim == 0
+    assert peak < 200 * 2**20
 
 
 def test_cohomology_complete_complex_vanishes():

@@ -1,6 +1,7 @@
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from simdist.complexes import DegreeError, build_complex, complete_complex
@@ -177,6 +178,21 @@ def test_complete_complex_connected():
 def test_connectivity_requires_coverage():
     x = build_complex([(0, 1, 2), (2, 3)])  # edge (2,3) in no triangle
     assert not is_gallery_connected(x, 1)
+
+
+def test_incidence_connectivity_matches_gallery_graph():
+    two_triangles = build_complex([(0, 1, 2), (2, 3, 4)])  # covered, apart at k=1
+    assert not is_gallery_connected(two_triangles, 1)
+    assert is_gallery_connected(two_triangles, 0)
+    rng = np.random.default_rng(1)
+    for _ in range(150):
+        n = int(rng.integers(4, 9))
+        tops = [rng.choice(n, int(rng.integers(1, 5)), replace=False).tolist()
+                for _ in range(int(rng.integers(1, 12)))]
+        x = build_complex(tops)
+        for k in range(x.dim + 1):
+            expected = is_gallery_connected(x, k, graph=GalleryGraph(x, k))
+            assert is_gallery_connected(x, k) == expected
 
 
 def test_degree_validation():
