@@ -125,19 +125,14 @@ def differential_matrix(complex_: SimplicialComplex, k: int) -> sparse.csr_matri
     cached = complex_._differentials.get(k)
     if cached is not None:
         return cached
-    n_rows = complex_.simplex_count(k + 1)
-    n_cols = complex_.simplex_count(k)
-    rows, cols, data = [], [], []
-    index = {s: i for i, s in enumerate(complex_.simplices(k))}
-    for j, s in enumerate(complex_.simplices(k + 1)):
-        for i in range(k + 2):
-            facet = s[:i] + s[i + 1:]
-            rows.append(j)
-            cols.append(index[facet])
-            data.append(1 if i % 2 == 0 else -1)
+    rows = np.array(complex_.simplices(k + 1), dtype=np.int64).reshape(-1, k + 2)
+    # The face that omits vertex j carries (-1)^j; faces that omit later
+    # vertices come first in canonical order, so reversed columns are sorted.
+    cols = complex_.facet_indices(rows)[:, ::-1]
+    signs = (-1) ** np.arange(k + 1, -1, -1, dtype=np.int64)
     mat = sparse.csr_matrix(
-        (np.array(data, dtype=np.int64), (rows, cols)),
-        shape=(n_rows, n_cols),
+        (np.tile(signs, len(rows)), cols.ravel(), np.arange(0, cols.size + 1, k + 2)),
+        shape=(len(rows), complex_.simplex_count(k)),
     )
     for arr in (mat.data, mat.indices, mat.indptr):
         arr.flags.writeable = False

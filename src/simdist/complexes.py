@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from itertools import combinations
 
+import numpy as np
+
 __all__ = [
     "ComplexError",
     "DegreeError",
@@ -66,6 +68,14 @@ def sort_with_sign(vertices) -> tuple[tuple[int, ...], int]:
         if a == b:
             return tuple(vs), 0
     return tuple(vs), sign
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row of a 2-D integer array. Keys are the rows'
+    big-endian bytes, so they compare like the rows lexicographically when
+    the entries are nonnegative, and are equal exactly when the rows are."""
+    data = np.ascontiguousarray(rows, dtype=">i8")
+    return data.view(np.dtype((np.void, 8 * data.shape[1]))).ravel()
 
 
 def _canonical(vertices) -> tuple[int, ...]:
@@ -172,6 +182,38 @@ class SimplicialComplex:
         if k > self.dim or s not in self._index[k]:
             raise MissingSimplexError(f"simplex {simplex!r} not in complex")
         return self._index[k][s]
+
+    def facet_indices(self, rows) -> np.ndarray:
+        """Canonical indices of the facets of simplices given as vertex rows.
+
+        ``rows`` is an (M, w) integer array of strictly increasing dense ids.
+        Entry ``[i, j]`` of the (M, w) result is the index of the
+        (w-2)-simplex that omits column j of row i. Rows are compared whole,
+        never packed into one integer, so the lookup is exact at every
+        vertex count.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] < 2:
+            raise DegreeError("facet lookup needs an (M, w) array with w >= 2")
+        width = rows.shape[1]
+        unsorted = np.flatnonzero(np.any(rows[:, 1:] <= rows[:, :-1], axis=1))
+        if len(unsorted):
+            raise InvalidSimplexError(
+                f"row {rows[unsorted[0]].tolist()} is not strictly increasing"
+            )
+        keep = [[c for c in range(width) if c != j] for j in range(width)]
+        faces = rows[:, keep].reshape(-1, width - 1)
+        table = _row_keys(
+            np.array(self.simplices(width - 2), dtype=np.int64).reshape(-1, width - 1)
+        )
+        keys = _row_keys(faces)
+        pos = np.searchsorted(table, keys)
+        found = pos < len(table)
+        found[found] = table[pos[found]] == keys[found]
+        if not found.all():
+            face = faces[np.flatnonzero(~found)[0]]
+            raise MissingSimplexError(f"simplex {tuple(face.tolist())!r} not in complex")
+        return pos.reshape(rows.shape)
 
     def coface_indices(self, k: int, i: int) -> list[int]:
         """Indices of the (k+1)-simplices containing the i-th k-simplex."""

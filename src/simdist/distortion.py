@@ -1,6 +1,6 @@
 """Boundary families, spectral filling inequalities, and distortion bounds.
 
-The pipeline: a family of oriented polytope boundaries inside a complex plus
+The pipeline: a family of oriented simplex boundaries inside a complex plus
 an embedding of the vertices yields, for every member, a combinatorial
 filling number and an enclosed projection volume. The distortion of the
 embedding is the product of the two suprema of their ratios; a spectral gap
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .cochains import (
 )
 from .complexes import DegreeError, NotPureError, SimplicialComplex
 from .gallery import GalleryGraph, UnfillableError, fill_number, is_gallery_connected
-from .geometry import (
+from .geometry import (  # noqa: F401 - perfbench traces enclosed_projection_volume here
     Embedding,
     GeometryError,
     OrientedBoundary,
@@ -40,7 +39,7 @@ from .geometry import (
     simplex_boundary_projection_volumes,
     stokes_check,
 )
-from .random_complexes import LmParams, linial_meshulam
+from .random_complexes import LmParams, _all_subsets, linial_meshulam
 
 __all__ = [
     "BoundaryFamily",
@@ -142,46 +141,33 @@ def compute_hypotheses(
 
 
 class BoundaryFamily:
-    """A set of oriented k-dimensional polytope boundaries inside a complex.
+    """Boundaries of (k+1)-simplices, given as an (M, k+2) array of vertex rows.
 
-    Caches the statistics the inequalities need: s (max faces per member),
-    the per-simplex membership counts, and l (min over counted k-simplices of
-    weight/count, exact as a Fraction). Statistics are recomputed from the
-    members, never user-supplied. With `vertex_sets` (sorted rows, member i
-    the boundary of row i), `face_indices[i, j]` is the index of the face
-    that omits vertex j of row i; that face carries the sign (-1)^j.
+    Each row is strictly increasing and stands for the boundary of that
+    simplex with the alternating orientation: `face_indices[i, j]` is the
+    index of the k-face that omits vertex j of row i, which carries the sign
+    (-1)^j. Every face must lie in the complex. Caches the statistics the
+    inequalities need: s (faces per member, k+2), the per-simplex membership
+    counts, and l (min over counted k-simplices of weight/count, exact as a
+    Fraction). Statistics are computed from the rows, never user-supplied.
     """
 
-    def __init__(self, complex_: SimplicialComplex, k: int, members, *,
-                 vertex_sets: np.ndarray | None = None,
-                 covers_all_simplex_boundaries: bool = False):
-        members = tuple(members)
-        if not members:
-            raise ValueError("a boundary family needs at least one member")
-        face_indices = []
-        for member in members:
-            if member.k != k:
-                raise DegreeError(f"member of dimension {member.k}, expected {k}")
-            if len(member.faces) < 2:
-                raise ValueError("polytope boundaries have at least two faces")
-            face_indices.append([complex_.index_of(face) for face, _ in member.faces])
+    def __init__(self, complex_: SimplicialComplex, vertex_sets):
+        rows = np.array(vertex_sets, dtype=np.int64)
+        if rows.ndim != 2 or len(rows) == 0:
+            raise ValueError("a boundary family needs a nonempty (M, k+2) row array")
+        self.face_indices = complex_.facet_indices(rows)
         self.complex = complex_
-        self.k = k
-        self.members = members
-        self.s = max(map(len, face_indices))
+        self.vertex_sets = rows
+        self.s = rows.shape[1]
+        self.k = self.s - 2
         self.counts = np.bincount(
-            [i for row in face_indices for i in row],
-            minlength=complex_.simplex_count(k),
-        ).astype(np.int64)
-        self.vertex_sets = vertex_sets
-        self.face_indices = (
-            None if vertex_sets is None else np.array(face_indices, dtype=np.int64)
+            self.face_indices.ravel(), minlength=complex_.simplex_count(self.k)
         )
-        self.covers_all_simplex_boundaries = covers_all_simplex_boundaries
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.vertex_sets)
 
     @property
     def l_exact(self) -> Fraction:
@@ -212,13 +198,7 @@ def vertex_set_family(complex_: SimplicialComplex, k: int) -> BoundaryFamily:
         raise DegreeError(f"complex lacks a complete {k}-skeleton")
     if n < k + 2:
         raise DegreeError("not enough vertices for any boundary")
-    subsets = list(combinations(range(n), k + 2))
-    members = [simplex_boundary_oriented(s) for s in subsets]
-    return BoundaryFamily(
-        complex_, k, members,
-        vertex_sets=np.array(subsets, dtype=np.int64),
-        covers_all_simplex_boundaries=True,
-    )
+    return BoundaryFamily(complex_, _all_subsets(n, k + 2))
 
 
 def boundary_pairing(phi: Cochain, boundary: OrientedBoundary) -> float:
@@ -237,7 +217,7 @@ def boundary_pairing(phi: Cochain, boundary: OrientedBoundary) -> float:
 
 
 def _simplex_boundary_pairings(phi: Cochain, face_indices: np.ndarray) -> list[float]:
-    """`boundary_pairing` of phi with every simplex boundary of a face table.
+    """`boundary_pairing` of phi with every member of a family's face table.
 
     Accumulates v0 - v1 + v2 ... one column at a time, the order in which
     `boundary_pairing` sums, so every value is bitwise the same."""
@@ -296,10 +276,7 @@ def cochain_energy_inequality(
     if applicable and lhs is not None:
         l_value = family.l
         coefficient = l_value * hyp.lambda_min_nonzero / family.s
-        if family.face_indices is not None:
-            pairings = _simplex_boundary_pairings(phi, family.face_indices)
-        else:
-            pairings = [boundary_pairing(phi, member) for member in family.members]
+        pairings = _simplex_boundary_pairings(phi, family.face_indices)
         rhs = coefficient * sum(value ** 2 for value in pairings)
         margin = lhs - rhs
     return InequalityCheck(lhs, rhs, margin, l_value, family.s,
@@ -331,17 +308,10 @@ def projection_volume_inequality(
     if applicable and lhs is not None:
         l_value = family.l
         coefficient = l_value * hyp.lambda_min_nonzero / family.s
-        if family.vertex_sets is not None:
-            member_volumes = simplex_boundary_projection_volumes(
-                family.vertex_sets, embedding.points
-            )
-            total = float(np.sum(member_volumes**2))
-        else:
-            total = sum(
-                enclosed_projection_volume(member, embedding) ** 2
-                for member in family.members
-            )
-        rhs = coefficient * total
+        member_volumes = simplex_boundary_projection_volumes(
+            family.vertex_sets, embedding.points
+        )
+        rhs = coefficient * float(np.sum(member_volumes**2))
         margin = lhs - rhs
     return InequalityCheck(lhs, rhs, margin, l_value, family.s,
                            hyp.lambda_min_nonzero, hyp, applicable and lhs is not None)
@@ -552,44 +522,27 @@ def evaluate_distortion(
     """Measure the two suprema of volume/filling ratios over the family.
 
     Boundaries of (k+1)-simplices present in the complex are always included
-    alongside the family (they are the members whose filling number is 1);
-    for vertex-set families they are already covered.
+    (they are the members whose filling number is 1): those that are not
+    already family rows are appended as extra rows.
     """
     k = family.k
     if embedding.num_vertices != complex_.num_vertices:
         raise GeometryError("embedding does not cover the vertex set")
     hyp = hypotheses or compute_hypotheses(complex_, k, tolerance)
 
-    members = list(family.members)
-    if family.vertex_sets is not None:
-        volumes = simplex_boundary_projection_volumes(
-            family.vertex_sets, embedding.points
-        ).tolist()
-    else:
-        volumes = [enclosed_projection_volume(mb, embedding) for mb in members]
-
-    if not family.covers_all_simplex_boundaries:
-        present = {frozenset(s for s, _ in mb.faces) for mb in members}
-        extra = []
-        for sigma in complex_.simplices(k + 1):
-            key = frozenset(combinations(sigma, k + 1))
-            if key not in present:
-                extra.append(simplex_boundary_oriented(sigma))
-        if extra:
-            members.extend(extra)
-            extra_sets = np.array([mb.vertex_set() for mb in extra])
-            volumes.extend(
-                simplex_boundary_projection_volumes(
-                    extra_sets, embedding.points
-                ).tolist()
-            )
+    present = set(map(tuple, family.vertex_sets.tolist()))
+    extra = [s for s in complex_.simplices(k + 1) if s not in present]
+    rows = np.concatenate(
+        [family.vertex_sets, np.array(extra, dtype=np.int64).reshape(-1, k + 2)]
+    )
+    volumes = simplex_boundary_projection_volumes(rows, embedding.points).tolist()
 
     graph = GalleryGraph(complex_, k)
     evaluations = []
     infinite = False
     forward = backward = 0.0
-    for member, volume in zip(members, volumes):
-        faces = tuple(s for s, _ in member.faces)
+    for row, volume in zip(rows.tolist(), volumes):
+        faces = tuple(tuple(row[:j] + row[j + 1:]) for j in range(k + 2))
         fill = fill_number(complex_, faces, graph=graph).exact
         forward = max(forward, volume / fill)
         if volume > 0.0:

@@ -99,9 +99,6 @@ class OrientedBoundary:
     def face_dict(self) -> dict[tuple, int]:
         return dict(self.faces)
 
-    def vertex_set(self) -> tuple[int, ...]:
-        return tuple(sorted({v for s, _ in self.faces for v in s}))
-
     @classmethod
     def from_chain(cls, chain) -> "OrientedBoundary":
         """Boundary of a signed chain of (k+1)-simplices (ordered tuples allowed)."""

@@ -323,6 +323,47 @@ def test_coboundary_rank_matches_dense_two_prime_rank():
             assert ranks == {cochains_module._coboundary_rank(x, k)}
 
 
+def _dict_loop_differential(x, k):
+    """CSR arrays of d_k built one simplex at a time through a dict lookup."""
+    index = {s: i for i, s in enumerate(x.simplices(k))}
+    indptr, indices, data = [0], [], []
+    for s in x.simplices(k + 1):
+        entries = sorted((index[s[:i] + s[i + 1:]], (-1) ** i) for i in range(k + 2))
+        indices += [col for col, _ in entries]
+        data += [sign for _, sign in entries]
+        indptr.append(len(indices))
+    return indptr, indices, data
+
+
+def test_differential_matrix_matches_dict_loop_oracle():
+    # One 4-simplex spread over about 70,000 vertices. Its facet that starts
+    # at vertex 30000 has the mixed-radix code 30000 * N^3 + ... > 2^63, so
+    # a face lookup through int64 codes would wrap on d_3.
+    spread = (0, 30000, 40000, 60000, 69999)
+    others = [v for v in range(70005) if v not in spread]
+    wide = build_complex([spread] + list(zip(others[0::2], others[1::2])))
+    assert wide.num_vertices ** 4 >= 2**63
+    complexes = [
+        _rp2(),
+        _torus(),
+        build_complex([(0, 1, 2), (2, 3), (3, 4, 5, 6), (7,)]),  # not pure
+        linial_meshulam(LmParams(12, 0.5, 1, seed=2)),
+        linial_meshulam(LmParams(9, 0.6, 2, seed=2)),
+        linial_meshulam(LmParams(8, 0.7, 3, seed=2)),
+        wide,
+    ]
+    for x in complexes:
+        for k in range(x.dim + 1):
+            mat = differential_matrix(x, k)
+            indptr, indices, data = _dict_loop_differential(x, k)
+            assert mat.data.dtype == np.int64
+            assert mat.has_sorted_indices
+            assert np.array_equal(mat.indptr, indptr)
+            assert np.array_equal(mat.indices, indices)
+            assert np.array_equal(mat.data, data)
+    assert differential_matrix(wide, 3).shape == (1, 5)
+
+
 def test_cohomology_dim_never_densifies():
     # d_1 is 110,611 x 11,175 here: a dense int64 copy would take 9.9 GB
     x = linial_meshulam(LmParams(150, 0.2, 1, seed=1))

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from simdist.cochains import Cochain, adjoint_differential, differential, random_cochain
-from simdist.complexes import DegreeError, build_complex, complete_complex
+from simdist.complexes import (
+    DegreeError,
+    InvalidSimplexError,
+    MissingSimplexError,
+    build_complex,
+    complete_complex,
+)
 from simdist.distortion import (
     BoundaryFamily,
     EmbeddingSpec,
@@ -24,7 +30,11 @@ from simdist.distortion import (
     verify_instance,
     vertex_set_family,
 )
-from simdist.geometry import Embedding, simplex_boundary_oriented
+from simdist.geometry import (
+    Embedding,
+    enclosed_projection_volume,
+    simplex_boundary_oriented,
+)
 from simdist.random_complexes import LmParams, linial_meshulam
 
 
@@ -66,6 +76,75 @@ def test_family_l_statistic():
     assert family.l_exact == expected
 
 
+def test_family_rejects_malformed_rows():
+    x = build_complex([(0, 1, 2), (1, 2, 3)])  # edge (0, 3) missing
+    for empty in ([], np.zeros((0, 3), dtype=np.int64)):
+        with pytest.raises(ValueError) as info:
+            BoundaryFamily(x, empty)
+        assert type(info.value) is ValueError
+    with pytest.raises(DegreeError):
+        BoundaryFamily(x, [(0,), (1,)])
+    for row in ((1, 0, 2), (0, 2, 2)):
+        with pytest.raises(InvalidSimplexError):
+            BoundaryFamily(x, [(0, 1, 2), row])
+    with pytest.raises(MissingSimplexError):
+        BoundaryFamily(x, [(0, 1, 2), (0, 1, 3)])
+    family = BoundaryFamily(x, [(0, 1, 2), (1, 2, 3)])
+    assert (family.k, family.s, family.size) == (1, 3, 2)
+    assert family.counts.tolist() == [1, 1, 2, 1, 1]
+
+
+def _reference_families():
+    """(complex, k, hypotheses, families): the vertex-set family, and a
+    hand-built family that leaves out some (k+1)-simplices of the complex."""
+    out = []
+    for params in (LmParams(8, 0.6, 1, seed=1), LmParams(7, 0.7, 2, seed=2)):
+        x = linial_meshulam(params)
+        k = params.k
+        hyp = compute_hypotheses(x, k)
+        assert hyp.all_hold()
+        full = vertex_set_family(x, k)
+        partial = BoundaryFamily(x, full.vertex_sets[::3])
+        rows = set(map(tuple, partial.vertex_sets.tolist()))
+        assert any(sigma not in rows for sigma in x.simplices(k + 1))
+        out.append((x, k, hyp, (full, partial)))
+    return out
+
+
+def test_energy_rhs_matches_pairing_reference():
+    rng = _rng(12)
+    for x, k, hyp, families in _reference_families():
+        for family in families:
+            phi = random_cochain(x, k, rng)
+            check = cochain_energy_inequality(x, family, phi, hypotheses=hyp)
+            coefficient = check.l * check.lam / check.s
+            expected = coefficient * sum(
+                boundary_pairing(phi, simplex_boundary_oriented(row)) ** 2
+                for row in family.vertex_sets.tolist()
+            )
+            assert check.rhs == expected
+
+
+def test_distortion_volumes_match_scalar_kernel():
+    for x, k, hyp, families in _reference_families():
+        emb = Embedding.gaussian(x.num_vertices, 4, seed=k)
+        for family in families:
+            report = evaluate_distortion(
+                x, family, emb, hypotheses=hyp, include_bound=False,
+                keep_members=True,
+            )
+            rows = family.vertex_sets.tolist()
+            present = set(map(tuple, rows))
+            rows += [list(s) for s in x.simplices(k + 1) if s not in present]
+            assert len(report.members) == report.evaluated_members == len(rows)
+            for member, row in zip(report.members, rows):
+                assert sorted(set().union(*member.faces)) == row
+                reference = enclosed_projection_volume(
+                    simplex_boundary_oriented(row), emb
+                )
+                assert abs(member.volume - reference) <= 1e-12 * reference
+
+
 # -- boundary pairing ---------------------------------------------------------------
 
 
@@ -76,7 +155,8 @@ def test_pairing_vanishes_on_coboundaries():
     for _ in range(5):
         psi = random_cochain(x, 0, rng)
         d_psi = differential(x, psi)
-        for member in family.members[:10]:
+        for row in family.vertex_sets[:10].tolist():
+            member = simplex_boundary_oriented(row)
             assert boundary_pairing(d_psi, member) == pytest.approx(0.0, abs=1e-10)
 
 
@@ -92,7 +172,7 @@ def test_pairing_matches_differential_on_simplex_boundary():
 
 def test_pairing_zero_cochain():
     x = complete_complex(4, 1)
-    member = vertex_set_family(x, 0).members[0]
+    member = simplex_boundary_oriented(vertex_set_family(x, 0).vertex_sets[0].tolist())
     assert boundary_pairing(Cochain.zeros(x, 0), member) == 0.0
 
 
@@ -103,7 +183,8 @@ def test_gauge_invariance():
     phi = random_cochain(x, 1, rng)
     psi = random_cochain(x, 0, rng)
     shifted = Cochain(x, 1, phi.values + differential(x, psi).values)
-    for member in family.members:
+    for row in family.vertex_sets.tolist():
+        member = simplex_boundary_oriented(row)
         a = boundary_pairing(phi, member)
         b = boundary_pairing(shifted, member)
         assert abs(a - b) <= 1e-10 * (abs(a) + 1.0)
@@ -139,9 +220,7 @@ def test_energy_inequality_hypothesis_failure_reported():
     family = vertex_set_family(x, 0)
     # use k=0 on a DISCONNECTED graph instead: two components
     y = build_complex([(0, 1), (2, 3)])
-    fam = BoundaryFamily(
-        y, 0, [simplex_boundary_oriented((0, 1)), simplex_boundary_oriented((2, 3))]
-    )
+    fam = BoundaryFamily(y, [(0, 1), (2, 3)])
     check = cochain_energy_inequality(y, fam, Cochain.zeros(y, 0))
     assert not check.applicable
     assert not check.hypotheses.cohomology_zero
@@ -350,8 +429,7 @@ def test_k0_matches_independent_oracle():
 def test_extra_simplex_boundaries_included():
     # family of one member; the other present triangles join via the T-side
     x = build_complex([(0, 1, 2), (1, 2, 3)])
-    member = simplex_boundary_oriented((1, 2, 3))
-    family = BoundaryFamily(x, 1, [member])
+    family = BoundaryFamily(x, [(1, 2, 3)])
     emb = Embedding.gaussian(4, 3, seed=2)
     report = evaluate_distortion(x, family, emb, include_bound=False)
     assert report.evaluated_members == 2
