@@ -125,7 +125,7 @@ def differential_matrix(complex_: SimplicialComplex, k: int) -> sparse.csr_matri
     cached = complex_._differentials.get(k)
     if cached is not None:
         return cached
-    rows = np.array(complex_.simplices(k + 1), dtype=np.int64).reshape(-1, k + 2)
+    rows = complex_.simplex_rows(k + 1)
     # The face that omits vertex j carries (-1)^j; faces that omit later
     # vertices come first in canonical order, so reversed columns are sorted.
     cols = complex_.facet_indices(rows)[:, ::-1]

@@ -9,7 +9,7 @@ label tuples map to sorted id tuples and orientation signs are unaffected.
 from __future__ import annotations
 
 import json
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -78,11 +78,16 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return data.view(np.dtype((np.void, 8 * data.shape[1]))).ravel()
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def _canonical(vertices) -> tuple[int, ...]:
-    simplex = tuple(sorted(int(v) for v in vertices))
+    simplex = tuple(sorted(map(int, vertices)))
     if not simplex:
         raise InvalidSimplexError("empty simplex")
-    if any(a == b for a, b in zip(simplex, simplex[1:])):
+    if len(set(simplex)) < len(simplex):
         raise InvalidSimplexError(f"repeated vertex in simplex {vertices!r}")
     return simplex
 
@@ -94,7 +99,7 @@ class SimplicialComplex:
     ``labels[i]`` recovers the original label of vertex id ``i``.
     """
 
-    __slots__ = ("dim", "labels", "_label_to_id", "_simplices", "_index",
+    __slots__ = ("dim", "labels", "_label_to_id", "_simplices", "_rows", "_index",
                  "_cofaces", "_weights", "_pure", "_differentials")
 
     def __init__(self, generating_simplices, *, allow_empty: bool = False):
@@ -105,41 +110,49 @@ class SimplicialComplex:
         label_set = sorted({v for s in generating for v in s})
         self.labels = tuple(label_set)
         self._label_to_id = {lab: i for i, lab in enumerate(label_set)}
-        generating = [tuple(self._label_to_id[v] for v in s) for s in generating]
+        generating = [tuple(map(self._label_to_id.__getitem__, s)) for s in generating]
 
         self.dim = max((len(s) - 1 for s in generating), default=-1)
         per_dim: list[set] = [set() for _ in range(self.dim + 1)]
         for s in generating:
             per_dim[len(s) - 1].add(s)
         for k in range(self.dim, 0, -1):
-            for s in per_dim[k]:
-                for facet in combinations(s, k):
-                    per_dim[k - 1].add(facet)
+            per_dim[k - 1].update(chain.from_iterable(combinations(s, k) for s in per_dim[k]))
 
         self._simplices = [sorted(level) for level in per_dim]
+        self._rows = [
+            _read_only(np.array(level, dtype=np.int64).reshape(-1, k + 1))
+            for k, level in enumerate(self._simplices)
+        ]
         self._index = [
             {s: i for i, s in enumerate(level)} for level in self._simplices
         ]
 
-        # cofaces[k][i] = indices of the (k+1)-simplices containing simplex i
-        self._cofaces = [[[] for _ in level] for level in self._simplices[:-1]]
-        for k in range(self.dim):
-            idx = self._index[k]
-            for j, s in enumerate(self._simplices[k + 1]):
-                for facet in combinations(s, k + 1):
-                    self._cofaces[k][idx[facet]].append(j)
+        # cofaces[k] = CSR (indptr, indices): the (k+1)-simplices containing
+        # k-simplex i are indices[indptr[i]:indptr[i+1]], in increasing order.
+        # The top level has none. Every facet is in the complex, so the facet
+        # search needs none of the checks of `facet_indices`.
+        self._cofaces = []
+        for k in range(self.dim + 1):
+            n_faces = len(self._simplices[k])
+            facets, _ = self._facet_search(self.simplex_rows(k + 1))
+            indptr = np.zeros(n_faces + 1, dtype=np.int64)
+            np.cumsum(np.bincount(facets, minlength=n_faces), out=indptr[1:])
+            indices = np.argsort(facets, kind="stable") // (k + 2)
+            self._cofaces.append((_read_only(indptr), _read_only(indices)))
 
         # weight recursion: w_n = 1 on top simplices; w_k(t) = sum of w_{k+1}
-        # over cofaces of t, which equals (n-k)! * #{top simplices containing t}
-        self._weights: list[list[int]] = [[] for _ in range(self.dim + 1)]
-        if self.dim >= 0:
-            self._weights[self.dim] = [1] * len(self._simplices[self.dim])
-            for k in range(self.dim - 1, -1, -1):
-                up = self._weights[k + 1]
-                self._weights[k] = [
-                    sum(up[j] for j in self._cofaces[k][i])
-                    for i in range(len(self._simplices[k]))
-                ]
+        # over cofaces of t, which equals (n-k)! * #{top simplices containing t}.
+        # The top level has no cofaces, so its sums are 0 and it adds the 1.
+        # Object arrays keep the sums exact Python integers.
+        self._weights: list[list[int]] = []
+        up = np.zeros(0, dtype=object)
+        for k in range(self.dim, -1, -1):
+            indptr, indices = self._cofaces[k]
+            sums = np.zeros(len(indices) + 1, dtype=object)
+            np.cumsum(up[indices], out=sums[1:])
+            up = sums[indptr[1:]] - sums[indptr[:-1]] + int(k == self.dim)
+            self._weights.insert(0, up.tolist())
         self._pure = all(all(w > 0 for w in level) for level in self._weights)
         # incidence matrices by degree, filled by cochains.differential_matrix
         self._differentials: dict = {}
@@ -164,6 +177,14 @@ class SimplicialComplex:
         if k > self.dim:
             return []
         return self._simplices[k]
+
+    def simplex_rows(self, k: int) -> np.ndarray:
+        """The k-simplices as a read-only (n_k, k+1) int64 array, canonical order."""
+        if k < 0:
+            raise DegreeError(f"invalid dimension {k}")
+        if k > self.dim:
+            return np.empty((0, k + 1), dtype=np.int64)
+        return self._rows[k]
 
     def simplex_count(self, k: int) -> int:
         return len(self.simplices(k))
@@ -196,36 +217,44 @@ class SimplicialComplex:
         if rows.ndim != 2 or rows.shape[1] < 2:
             raise DegreeError("facet lookup needs an (M, w) array with w >= 2")
         width = rows.shape[1]
-        unsorted = np.flatnonzero(np.any(rows[:, 1:] <= rows[:, :-1], axis=1))
-        if len(unsorted):
-            raise InvalidSimplexError(
-                f"row {rows[unsorted[0]].tolist()} is not strictly increasing"
-            )
-        keep = [[c for c in range(width) if c != j] for j in range(width)]
-        faces = rows[:, keep].reshape(-1, width - 1)
-        table = _row_keys(
-            np.array(self.simplices(width - 2), dtype=np.int64).reshape(-1, width - 1)
-        )
-        keys = _row_keys(faces)
-        pos = np.searchsorted(table, keys)
+        unsorted = rows[:, 1:] <= rows[:, :-1]
+        if unsorted.any():
+            row = rows[unsorted.any(axis=1).argmax()]
+            raise InvalidSimplexError(f"row {row.tolist()} is not strictly increasing")
+        pos, faces = self._facet_search(rows)
+        table = self.simplex_rows(width - 2)
         found = pos < len(table)
-        found[found] = table[pos[found]] == keys[found]
+        found[found] = (table[pos[found]] == faces[found]).all(axis=1)
         if not found.all():
-            face = faces[np.flatnonzero(~found)[0]]
+            face = faces[found.argmin()]
             raise MissingSimplexError(f"simplex {tuple(face.tolist())!r} not in complex")
         return pos.reshape(rows.shape)
+
+    def _facet_search(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The facets of (M, w) rows, w per row in column order, and where each
+        sorts among the (w-2)-simplices (present iff equal to the one there)."""
+        width = rows.shape[1]
+        keep = [[c for c in range(width) if c != j] for j in range(width)]
+        faces = rows[:, keep].reshape(-1, width - 1)
+        table = _row_keys(self.simplex_rows(width - 2))
+        return np.searchsorted(table, _row_keys(faces)), faces
+
+    def coface_csr(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Cofaces of every k-simplex as a read-only CSR pair (indptr, indices).
+
+        The (k+1)-simplices containing k-simplex i are
+        ``indices[indptr[i]:indptr[i+1]]``, in increasing order.
+        """
+        if k < 0 or k > self.dim:
+            raise DegreeError(f"degree {k} outside 0..{self.dim}")
+        return self._cofaces[k]
 
     def coface_indices(self, k: int, i: int) -> list[int]:
         """Indices of the (k+1)-simplices containing the i-th k-simplex."""
         if k >= self.dim:
             return []
-        return self._cofaces[k][i]
-
-    def cofaces(self, simplex) -> list[tuple[int, ...]]:
-        s = _canonical(simplex)
-        k = len(s) - 1
-        i = self.index_of(s)
-        return [self._simplices[k + 1][j] for j in self.coface_indices(k, i)]
+        indptr, indices = self._cofaces[k]
+        return indices[indptr[i]:indptr[i + 1]].tolist()
 
     def weights_of_dim(self, k: int) -> list[int]:
         """m-values of all k-simplices (exact integers), canonical order."""
@@ -277,10 +306,8 @@ class SimplicialComplex:
     def maximal_simplices(self) -> list[tuple[int, ...]]:
         """Simplices with no coface, in canonical order (dense ids)."""
         out = []
-        for k in range(self.dim + 1):
-            for i, s in enumerate(self._simplices[k]):
-                if k == self.dim or not self._cofaces[k][i]:
-                    out.append(s)
+        for (indptr, _), level in zip(self._cofaces, self._simplices):
+            out += [level[i] for i in np.flatnonzero(indptr[1:] == indptr[:-1])]
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

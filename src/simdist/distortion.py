@@ -301,8 +301,9 @@ def projection_volume_inequality(
     lhs = rhs = margin = None
     l_value = None
     if hyp.pure and k <= complex_.dim - 1 and complex_.simplex_count(k + 1) > 0:
-        tops = np.array(complex_.simplices(k + 1), dtype=np.int64)
-        volumes = simplex_boundary_projection_volumes(tops, embedding.points)
+        volumes = simplex_boundary_projection_volumes(
+            complex_.simplex_rows(k + 1), embedding.points
+        )
         weights = np.asarray(complex_.weights_of_dim(k + 1), dtype=float)
         lhs = float(np.dot(weights, volumes**2))
     if applicable and lhs is not None:
@@ -338,10 +339,8 @@ def combinatorial_fill_bound(
 def _max_gallery_degree(complex_: SimplicialComplex, k: int) -> int:
     if k >= complex_.dim:
         return 0
-    return max(
-        (len(complex_.coface_indices(k, i)) for i in range(complex_.simplex_count(k))),
-        default=0,
-    )
+    indptr, _ = complex_.coface_csr(k)
+    return int(np.diff(indptr).max(initial=0))
 
 
 @dataclass
@@ -531,9 +530,9 @@ def evaluate_distortion(
     hyp = hypotheses or compute_hypotheses(complex_, k, tolerance)
 
     present = set(map(tuple, family.vertex_sets.tolist()))
-    extra = [s for s in complex_.simplices(k + 1) if s not in present]
+    missing = [s not in present for s in complex_.simplices(k + 1)]
     rows = np.concatenate(
-        [family.vertex_sets, np.array(extra, dtype=np.int64).reshape(-1, k + 2)]
+        [family.vertex_sets, complex_.simplex_rows(k + 1)[np.array(missing, dtype=bool)]]
     )
     volumes = simplex_boundary_projection_volumes(rows, embedding.points).tolist()
 

@@ -10,10 +10,8 @@ gallery connects a simplex to itself, so the self-distance is 0.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sparse
@@ -42,8 +40,33 @@ class UnfillableError(ValueError):
     """Some pair of the face set cannot be joined by any gallery."""
 
 
+def _incidence_components(complex_: SimplicialComplex, k: int) -> tuple[int, np.ndarray]:
+    """Components of the graph joining each k-face to the (k+1)-simplices on it.
+
+    Returns their number and the labels of the (k+1)-simplices. Two
+    (k+1)-simplices share a component iff a gallery joins them, and a k-face
+    in no (k+1)-simplex is a component of its own.
+    """
+    indptr, indices = complex_.coface_csr(k)
+    n_faces = len(indptr) - 1
+    size = n_faces + complex_.simplex_count(k + 1)
+    # vertices 0..n_faces-1 are the faces, n_faces + j is (k+1)-simplex j;
+    # only the face rows hold entries. float64 entries: csgraph would convert
+    # any other dtype on every call
+    rows = np.concatenate([indptr, np.full(size - n_faces, indptr[-1])])
+    incidence = sparse.csr_matrix(
+        (np.ones(len(indices)), indices + n_faces, rows), shape=(size, size)
+    )
+    count, labels = csgraph.connected_components(incidence, directed=False)
+    return count, labels[n_faces:]
+
+
 class GalleryGraph:
-    """Adjacency among (k+1)-simplices sharing a k-face, plus face stars."""
+    """Adjacency among (k+1)-simplices sharing a k-face, as one sorted CSR.
+
+    With B the k-face x (k+1)-simplex incidence, the adjacency is B^T B
+    minus its diagonal: two distinct (k+1)-simplices share at most one k-face.
+    """
 
     def __init__(self, complex_: SimplicialComplex, k: int):
         if k < 0 or k > complex_.dim:
@@ -51,82 +74,56 @@ class GalleryGraph:
         self.complex = complex_
         self.k = k
         self.nodes = complex_.simplices(k + 1)
-        adjacency = [set() for _ in self.nodes]
-        for i in range(complex_.simplex_count(k)):
-            star = complex_.coface_indices(k, i)
-            for a, b in combinations(star, 2):
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-        self.adjacency = [sorted(s) for s in adjacency]
-        self.components = self._component_labels()
-        self._face_tables: dict[tuple, np.ndarray] = {}
-
-    def _component_labels(self) -> list[int]:
-        labels = [-1] * len(self.nodes)
-        current = 0
-        for start in range(len(self.nodes)):
-            if labels[start] != -1:
-                continue
-            queue = deque([start])
-            labels[start] = current
-            while queue:
-                v = queue.popleft()
-                for w in self.adjacency[v]:
-                    if labels[w] == -1:
-                        labels[w] = current
-                        queue.append(w)
-            current += 1
-        return labels
+        indptr, indices = complex_.coface_csr(k)
+        incidence = sparse.csr_matrix(
+            (np.ones(len(indices), dtype=np.int32), indices, indptr),
+            shape=(len(indptr) - 1, self.num_nodes),
+        )
+        # B^T B is symmetric, so its CSC arrays are also its CSR arrays
+        shared = incidence.T @ incidence
+        shared.setdiag(0)
+        shared.eliminate_zeros()
+        shared.sort_indices()
+        # intp arrays index faster than scipy's int32
+        self._indptr = shared.indptr.astype(np.intp)
+        self._indices = shared.indices.astype(np.intp)
+        self._degrees = np.diff(self._indptr)
+        self._incidence_count, self.components = _incidence_components(complex_, k)
+        self._face_tables: dict[int, np.ndarray] = {}
 
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
 
-    def star_indices(self, simplex) -> list[int]:
-        """(k+1)-simplex indices containing the given k-simplex."""
-        s = tuple(sorted(simplex))
-        if len(s) != self.k + 1:
-            raise DegreeError(f"{s!r} is not a {self.k}-simplex")
-        i = self.complex.index_of(s)
-        return self.complex.coface_indices(self.k, i)
-
-    @cached_property
-    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row starts, row lengths and column indices of the adjacency."""
-        degrees = np.fromiter(map(len, self.adjacency), dtype=np.int64,
-                              count=self.num_nodes)
-        starts = np.cumsum(degrees) - degrees
-        indices = np.fromiter(
-            (w for row in self.adjacency for w in row), dtype=np.int64,
-            count=int(degrees.sum()),
-        )
-        return starts, degrees, indices
-
     def _neighbours(self, nodes: np.ndarray) -> np.ndarray:
         """Adjacency rows of a nonempty node array, concatenated."""
-        starts, degrees, indices = self._csr
-        counts = degrees[nodes]
+        counts = self._degrees[nodes]
         ends = np.cumsum(counts)
-        positions = np.repeat(starts[nodes] - ends + counts, counts)
+        positions = np.repeat(self._indptr[nodes] - ends + counts, counts)
         positions += np.arange(ends[-1])
-        return indices[positions]
+        return self._indices[positions]
 
     def relax(self, table: np.ndarray, cap: int) -> np.ndarray:
         """Lower `table` in place to min over u of table[u] + dist(u, v).
 
         Levels are settled in increasing order, each pushing one step to
         its neighbours, so every entry that ends at most `cap` is exact;
-        entries above `cap` only stay above it.
+        entries above `cap` only stay above it. Stops early once no entry
+        lies between the level reached and `cap`.
         """
-        for level in range(int(table.min()), cap):
+        level = int(table.min(initial=cap))
+        while level < cap:
             frontier = (table == level).nonzero()[0]
             if frontier.size:
                 reached = self._neighbours(frontier)
                 table[reached] = np.minimum(table[reached], level + 1)
+            elif not ((table > level) & (table < cap)).any():
+                break
+            level += 1
         return table
 
-    def face_table(self, face: tuple) -> np.ndarray:
-        """Node-count distance from the star of a sorted k-face, cached.
+    def face_table(self, face: int) -> np.ndarray:
+        """Node-count distance from the star of k-face number `face`, cached.
 
         A node of the star costs 1 and each step adds 1; nodes of other
         components hold UNREACHED.
@@ -134,39 +131,19 @@ class GalleryGraph:
         table = self._face_tables.get(face)
         if table is None:
             table = np.full(self.num_nodes, UNREACHED, dtype=np.int32)
-            table[self.star_indices(face)] = 1
-            level, frontier = 1, (table == 1).nonzero()[0]
-            while frontier.size:  # breadth-first, one level at a time
-                reached = self._neighbours(frontier)
-                table[reached] = np.minimum(table[reached], level + 1)
-                level += 1
-                frontier = (table == level).nonzero()[0]
-            self._face_tables[face] = table
+            table[self.complex.coface_indices(self.k, face)] = 1
+            table = self._face_tables[face] = self.relax(table, UNREACHED)
         return table
 
-    def shortest_gallery(self, sources, targets) -> list[int] | None:
-        """Node list of a shortest gallery from a star to a star, or None."""
-        target_set = set(targets)
-        parent = {}
-        queue = deque()
-        for v in sources:
-            if v not in parent:
-                parent[v] = -1
-                queue.append(v)
-                if v in target_set:
-                    return [v]
-        while queue:
-            v = queue.popleft()
-            for w in self.adjacency[v]:
-                if w not in parent:
-                    parent[w] = v
-                    if w in target_set:
-                        path = [w]
-                        while parent[path[-1]] != -1:
-                            path.append(parent[path[-1]])
-                        return path[::-1]
-                    queue.append(w)
-        return None
+
+def _graph_at(complex_: SimplicialComplex, face: tuple, graph: GalleryGraph | None):
+    """The gallery graph at the dimension of `face`: `graph`, or a new one."""
+    k = len(face) - 1
+    if graph is None:
+        return GalleryGraph(complex_, k)
+    if graph.k != k:
+        raise DegreeError(f"{face!r} is not a {graph.k}-simplex")
+    return graph
 
 
 def gallery_distance(
@@ -177,21 +154,14 @@ def gallery_distance(
     s1 = tuple(sorted(eta1))
     if len(s0) != len(s1):
         raise DegreeError("both simplices must have the same dimension")
-    complex_.index_of(s0)
-    complex_.index_of(s1)
+    i0 = complex_.index_of(s0)
+    i1 = complex_.index_of(s1)
     if s0 == s1:
         return 0
-    k = len(s0) - 1
-    if graph is None:
-        graph = GalleryGraph(complex_, k)
-    sources = graph.star_indices(s0)
-    targets = graph.star_indices(s1)
-    if not sources or not targets:
-        return INF
-    if graph.components[sources[0]] != graph.components[targets[0]]:
-        return INF
-    path = graph.shortest_gallery(sources, targets)
-    return len(path) if path is not None else INF
+    graph = _graph_at(complex_, s0, graph)
+    targets = complex_.coface_indices(graph.k, i1)
+    best = graph.face_table(i0)[targets].min(initial=UNREACHED)
+    return INF if best == UNREACHED else int(best)
 
 
 def is_gallery_connected(
@@ -199,54 +169,28 @@ def is_gallery_connected(
 ) -> bool:
     """True iff every pair of k-simplices is joined by a (k+1)-gallery.
 
-    Requires every k-simplex to lie in some (k+1)-simplex (the quantifier
-    includes a simplex paired with itself) and the gallery graph connected.
-    Without a `graph`, connectivity is read off the face-coface incidence:
-    two (k+1)-simplices sharing a k-face are two steps apart in it.
+    That is, some (k+1)-simplex exists and the face-coface incidence is one
+    component: a k-simplex in no (k+1)-simplex is a component of its own
+    (the quantifier includes a simplex paired with itself).
     """
     if k < 0 or k > complex_.dim:
         raise DegreeError(f"degree {k} outside 0..{complex_.dim}")
-    n_faces = complex_.simplex_count(k)
-    n_nodes = complex_.simplex_count(k + 1)
-    if n_nodes == 0:
-        return False
-    stars = [complex_.coface_indices(k, i) for i in range(n_faces)]
-    if not all(stars):
+    if complex_.simplex_count(k + 1) == 0:
         return False
     if graph is not None:
-        return len(set(graph.components)) <= 1
-    # rows 0..n_nodes-1 are the (k+1)-simplices, with no entries of their
-    # own; row n_nodes + i lists the cofaces of k-simplex i
-    ends = np.cumsum(np.fromiter(map(len, stars), dtype=np.int32, count=n_faces))
-    cofaces = np.fromiter(chain.from_iterable(stars), dtype=np.int32, count=int(ends[-1]))
-    indptr = np.concatenate([np.zeros(n_nodes + 1, dtype=np.int32), ends])
-    size = n_nodes + n_faces
-    # float64 entries: csgraph would convert any other dtype on every call
-    incidence = sparse.csr_matrix(
-        (np.ones(cofaces.size), cofaces, indptr), shape=(size, size)
-    )
-    count, _ = csgraph.connected_components(incidence, directed=False)
-    return count == 1
+        return graph._incidence_count == 1
+    return _incidence_components(complex_, k)[0] == 1
 
 
 def gallery_distances_from(
     complex_: SimplicialComplex, tau, *, graph: GalleryGraph | None = None
 ) -> dict[tuple, float]:
     """Gallery distances from one k-simplex to every k-simplex."""
-    s = tuple(sorted(tau))
-    k = len(s) - 1
-    if graph is None:
-        graph = GalleryGraph(complex_, k)
-    node_dist = graph.face_table(s)
-    out = {}
-    for i, eta in enumerate(complex_.simplices(k)):
-        if eta == s:
-            out[eta] = 0
-            continue
-        star = complex_.coface_indices(k, i)
-        best = min((node_dist[v] for v in star), default=UNREACHED)
-        out[eta] = INF if best == UNREACHED else int(best)
-    return out
+    graph = _graph_at(complex_, tuple(sorted(tau)), graph)
+    return {
+        eta: gallery_distance(complex_, tau, eta, graph=graph)
+        for eta in complex_.simplices(graph.k)
+    }
 
 
 def gallery_ball_sizes(
@@ -320,17 +264,15 @@ def fill_number(
     face_set = sorted({tuple(sorted(f)) for f in faces})
     if len({len(f) for f in face_set}) > 1:
         raise DegreeError("faces must share one dimension")
-    for f in face_set:
-        complex_.index_of(f)
+    face_ids = [complex_.index_of(f) for f in face_set]
     if len(face_set) <= 1:
         return FillResult(0, 0, 0, ())
     k = len(face_set[0]) - 1
-    if graph is None:
-        graph = GalleryGraph(complex_, k)
+    graph = _graph_at(complex_, face_set[0], graph)
 
     stars = []
-    for f in face_set:
-        star = graph.star_indices(f)
+    for f, i in zip(face_set, face_ids):
+        star = complex_.coface_indices(k, i)
         if not star:
             raise UnfillableError(f"{f!r} lies in no ({k + 1})-simplex")
         stars.append(star)
@@ -354,7 +296,7 @@ def fill_number(
     # The spider, shortest galleries from `center` to every star, is a
     # filling of `cap` nodes, so the tables need only be exact below cap:
     # entries under cap are exact and the others only say "at least cap".
-    face_tables = [graph.face_table(f) for f in face_set]
+    face_tables = [graph.face_table(i) for i in face_ids]
     spider = np.sum(face_tables, axis=0, dtype=np.int64) - (len(face_set) - 1)
     center = int(spider.argmin())
     cap = int(spider[center])
@@ -393,9 +335,8 @@ def fill_number(
             )
             stack += [(part, v), (subset ^ part, v)]
         elif value > 1:
-            table = tree[subset]
-            w = next(w for w in graph.adjacency[v] if table[w] == value - 1)
-            stack.append((subset, w))
+            row = graph._indices[graph._indptr[v]:graph._indptr[v + 1]]
+            stack.append((subset, int(row[tree[subset][row] == value - 1][0])))
     witness = tuple(graph.nodes[v] for v in sorted(chosen))
     return FillResult(exact, exact, exact, witness, False, len(merged))
 
@@ -444,23 +385,6 @@ class GalleryLinkReport:
         }
 
 
-def _link_graph_connected(link_complex: SimplicialComplex) -> bool:
-    n = link_complex.simplex_count(0)
-    if n <= 1:
-        return True
-    parent = list(range(n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in link_complex.simplices(1):
-        parent[find(a)] = find(b)
-    return len({find(v) for v in range(n)}) == 1
-
-
 def gallery_link_report(complex_: SimplicialComplex, k: int) -> GalleryLinkReport:
     """Verify the link-connectivity criteria for gallery connectivity at level k."""
     if k < 1 or k > complex_.dim - 1:
@@ -471,8 +395,8 @@ def gallery_link_report(complex_: SimplicialComplex, k: int) -> GalleryLinkRepor
     all_links_connected = True
     for tau in complex_.simplices(k - 1):
         link_complex = complex_.link(tau)
-        connected = _link_graph_connected(link_complex)
         n_link_vertices = link_complex.simplex_count(0)
+        connected = n_link_vertices <= 1 or is_gallery_connected(link_complex, 0)
         if n_link_vertices == 0 or not connected:
             all_links_connected = False
         link_vertex_ids = [

@@ -393,11 +393,18 @@ def test_criterion_06_spectral_inequalities(verified_complexes):
 
 
 def _brute_force_fill(complex_, graph, faces):
-    stars = [set(graph.star_indices(f)) for f in faces]
+    # adjacency and stars from the simplices alone: two (k+1)-simplices are
+    # adjacent iff they share k+1 vertices
+    sets = [set(s) for s in graph.nodes]
+    adjacency = [
+        [w for w, t in enumerate(sets) if w != v and len(s & t) == len(s) - 1]
+        for v, s in enumerate(sets)
+    ]
+    stars = [{v for v, s in enumerate(sets) if set(f) <= s} for f in faces]
     if any(not s for s in stars):
         return None
     pairs = list(combinations(range(len(stars)), 2))
-    nodes = list(range(graph.num_nodes))
+    nodes = list(range(len(sets)))
 
     def connects(subset):
         subset = set(subset)
@@ -410,7 +417,7 @@ def _brute_force_fill(complex_, graph, faces):
             return v
 
         for v in subset:
-            for w in graph.adjacency[v]:
+            for w in adjacency[v]:
                 if w in subset:
                     parent[find(v)] = find(w)
         for a, b in pairs:

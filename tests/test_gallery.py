@@ -23,12 +23,26 @@ INF = math.inf
 # -- independent brute-force oracle -------------------------------------------
 
 
+def node_adjacency(nodes):
+    """Two (k+1)-simplices are adjacent iff they share k+1 vertices."""
+    sets = [set(s) for s in nodes]
+    return [
+        [w for w, t in enumerate(sets) if w != v and len(s & t) == len(s) - 1]
+        for v, s in enumerate(sets)
+    ]
+
+
+def node_star(nodes, face):
+    """Indices of the (k+1)-simplices containing `face`."""
+    return {i for i, s in enumerate(nodes) if set(face) <= set(s)}
+
+
 def brute_force_fill(complex_, faces):
     """Subset enumeration by increasing size; None when unfillable."""
-    graph = GalleryGraph(complex_, len(next(iter(faces))) - 1)
-    stars = [set(graph.star_indices(f)) for f in faces]
+    nodes = complex_.simplices(len(next(iter(faces))))
+    adjacency = node_adjacency(nodes)
+    stars = [node_star(nodes, f) for f in faces]
     pairs = list(combinations(range(len(stars)), 2))
-    nodes = list(range(graph.num_nodes))
 
     def connects(subset):
         subset = set(subset)
@@ -41,7 +55,7 @@ def brute_force_fill(complex_, faces):
             return v
 
         for v in subset:
-            for w in graph.adjacency[v]:
+            for w in adjacency[v]:
                 if w in subset:
                     parent[find(v)] = find(w)
         for a, b in pairs:
@@ -54,7 +68,7 @@ def brute_force_fill(complex_, faces):
     if not pairs:
         return 0
     for size in range(1, len(nodes) + 1):
-        for subset in combinations(nodes, size):
+        for subset in combinations(range(len(nodes)), size):
             if connects(subset):
                 return size
     return None
@@ -62,17 +76,18 @@ def brute_force_fill(complex_, faces):
 
 def connects_every_pair(graph, faces, witness):
     """True iff every pair of stars is joined inside the witness alone."""
+    adjacency = node_adjacency(graph.nodes)
     node_index = {s: i for i, s in enumerate(graph.nodes)}
     chosen = {node_index[s] for s in witness}
     for fa, fb in combinations(faces, 2):
-        sa = set(graph.star_indices(fa)) & chosen
-        sb = set(graph.star_indices(fb)) & chosen
+        sa = node_star(graph.nodes, fa) & chosen
+        sb = node_star(graph.nodes, fb) & chosen
         reached = set(sa)
         frontier = list(sa)
         while frontier:
             nxt = []
             for v in frontier:
-                for w in graph.adjacency[v]:
+                for w in adjacency[v]:
                     if w in chosen and w not in reached:
                         reached.add(w)
                         nxt.append(w)
@@ -80,6 +95,19 @@ def connects_every_pair(graph, faces, witness):
         if not reached & sb:
             return False
     return True
+
+
+def gallery_connected_oracle(complex_, k):
+    """Some (k+1)-simplex, every k-simplex in one, and one node component."""
+    nodes = complex_.simplices(k + 1)
+    if not nodes or any(not node_star(nodes, f) for f in complex_.simplices(k)):
+        return False
+    adjacency = node_adjacency(nodes)
+    reached, frontier = {0}, [0]
+    while frontier:
+        frontier = [w for v in frontier for w in adjacency[v] if w not in reached]
+        reached.update(frontier)
+    return len(reached) == len(nodes)
 
 
 def bfs_graph_distance(complex_, u, v):
@@ -150,6 +178,48 @@ def test_metric_properties_exhaustive():
                     assert dist[(a, c)] <= dist[(a, b)] + dist[(b, c)]
 
 
+def node_bfs_distance(complex_, eta0, eta1):
+    """Fewest (k+1)-simplices in a gallery from a star to a star, by BFS."""
+    if eta0 == eta1:
+        return 0
+    nodes = complex_.simplices(len(eta0))
+    adjacency = node_adjacency(nodes)
+    targets = node_star(nodes, eta1)
+    frontier, reached, length = node_star(nodes, eta0), set(), 1
+    while frontier:
+        if frontier & targets:
+            return length
+        reached |= frontier
+        frontier = {w for v in frontier for w in adjacency[v]} - reached
+        length += 1
+    return INF
+
+
+def test_distance_matches_node_bfs():
+    rng = np.random.default_rng(5)
+    seen = {0: 0, 1: 0, "finite": 0, INF: 0}
+    split = 0  # complexes with two or more gallery components
+    for k in (1, 2):
+        for _ in range(12):
+            n = int(rng.integers(k + 5, k + 8))
+            # a few (k+1)-simplices, and some k-simplices that lie in none
+            tops = [rng.choice(n, k + 2, replace=False).tolist()
+                    for _ in range(int(rng.integers(2, 9)))]
+            tops += [rng.choice(n, k + 1, replace=False).tolist() for _ in range(3)]
+            x = build_complex(tops)
+            graph = GalleryGraph(x, k)
+            split += len(set(graph.components)) > 1
+            for i, a in enumerate(x.simplices(k)):
+                for b in x.simplices(k):
+                    expected = node_bfs_distance(x, a, b)
+                    assert gallery_distance(x, a, b, graph=graph) == expected
+                    if i == 0:  # also with a graph built per call
+                        assert gallery_distance(x, a, b) == expected
+                    seen[expected if expected in (0, 1, INF) else "finite"] += 1
+    assert min(seen.values()) > 0, seen
+    assert split >= 10
+
+
 # -- connectivity ----------------------------------------------------------------
 
 
@@ -191,14 +261,20 @@ def test_incidence_connectivity_matches_gallery_graph():
                 for _ in range(int(rng.integers(1, 12)))]
         x = build_complex(tops)
         for k in range(x.dim + 1):
-            expected = is_gallery_connected(x, k, graph=GalleryGraph(x, k))
+            expected = gallery_connected_oracle(x, k)
             assert is_gallery_connected(x, k) == expected
+            assert is_gallery_connected(x, k, graph=GalleryGraph(x, k)) == expected
 
 
 def test_degree_validation():
     x = build_complex([(0, 1, 2)])
     with pytest.raises(DegreeError):
         is_gallery_connected(x, 3)
+    vertex_graph = GalleryGraph(x, 0)  # a graph of the wrong degree for edges
+    with pytest.raises(DegreeError):
+        gallery_distance(x, (0, 1), (1, 2), graph=vertex_graph)
+    with pytest.raises(DegreeError):
+        fill_number(x, [(0, 1), (1, 2)], graph=vertex_graph)
 
 
 # -- filling numbers -------------------------------------------------------------
@@ -316,6 +392,15 @@ def test_fill_many_faces_beside_another_component():
     assert connects_every_pair(GalleryGraph(x, 1), faces, result.witness)
 
 
+def test_relax_crosses_empty_levels():
+    # nodes: edge (0,1) alone, then the path (2,3)-(3,4)-(4,5); no entry is
+    # 2, but the 3 must still spread along its path
+    graph = GalleryGraph(build_complex([(0, 1), (2, 3), (3, 4), (4, 5)]), 0)
+    table = np.array([1, 3, 99, 99], dtype=np.int32)
+    assert graph.relax(table, 10).tolist() == [1, 3, 4, 5]
+    assert graph.relax(np.array([1, 3, 99, 99], dtype=np.int32), 4).tolist() == [1, 3, 4, 99]
+
+
 def test_fill_empty_and_singleton():
     x = build_complex([(0, 1, 2)])
     assert fill_number(x, [(0, 1)]).exact == 0
@@ -388,3 +473,57 @@ def test_link_report_lm_sample():
         )
         hits += report.passed
     assert hits >= 4
+
+
+def link_union_find_connected(link_complex):
+    """Union-find over the link's edges; a link of at most one vertex is connected."""
+    n = link_complex.simplex_count(0)
+    if n <= 1:
+        return True
+    parent = list(range(n))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in link_complex.simplices(1):
+        parent[find(a)] = find(b)
+    return len({find(v) for v in range(n)}) == 1
+
+
+def test_link_report_matches_union_find_oracle():
+    cases = [
+        complete_complex(6, 2),  # links with no isolated vertex
+        build_complex([(0, 1, 2), (0, 3)]),  # link of 0: one isolated vertex
+        build_complex([(0, 1, 2), (0, 3), (0, 4), (5, 6)]),  # two isolated
+        build_complex([(0, 1, 2, 3), (0, 4, 5), (4, 6), (7,)]),
+    ]
+    rng = np.random.default_rng(9)
+    while len(cases) < 40:
+        n = int(rng.integers(5, 9))
+        tops = [rng.choice(n, int(rng.integers(1, 5)), replace=False).tolist()
+                for _ in range(int(rng.integers(2, 9)))]
+        x = build_complex(tops)
+        if x.dim >= 2:
+            cases.append(x)
+    isolated_seen = set()
+    for x in cases:
+        for k in range(1, x.dim):
+            all_connected, checked, vacuous = True, 0, 0
+            for tau in x.simplices(k - 1):
+                link = x.link(tau)
+                n = link.simplex_count(0)
+                on_edges = {v for e in link.simplices(1) for v in e}
+                isolated_seen.add(min(n - len(on_edges), 2))
+                connected = link_union_find_connected(link)
+                all_connected &= n > 0 and connected
+                pairs = n * (n - 1) // 2
+                checked += pairs if connected else 0
+                vacuous += 0 if connected else pairs
+            report = gallery_link_report(x, k)
+            assert report.details["all_links_connected"] == all_connected
+            assert report.local_pairs_checked == checked
+            assert report.local_vacuous_pairs == vacuous
+    assert isolated_seen == {0, 1, 2}

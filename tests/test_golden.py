@@ -1,8 +1,10 @@
 """CLI documents on a fixed corpus stay byte-identical.
 
 `tests/golden/` holds three `lmgen` complexes and the documents the CLI
-wrote for each command below. Each command runs from inside that directory,
-so the relative complex path echoed into the document's config matches.
+wrote for each command below (`<name>.json`), or the error message of a
+command that exits nonzero (`<name>.txt`). Each command runs from inside that
+directory, so the relative complex path echoed into the document's config
+matches.
 """
 
 from pathlib import Path
@@ -20,28 +22,45 @@ GOLDEN = Path(__file__).parent / "golden"
 #   lmgen --n 9 --p 0.6 --k 1 --seed 1  -> k1_connected.cplx
 #   lmgen --n 7 --p 0.6 --k 2 --seed 2  -> k2_connected.cplx
 CASES = [
-    ("k1_split_dist_finite", ["gallery", "dist", "--complex", "k1_split.cplx", "0,4", "5,7"], 0),
-    ("k1_split_dist_apart", ["gallery", "dist", "--complex", "k1_split.cplx", "0,1", "0,4"], 0),
-    ("k1_split_dist_uncovered", ["gallery", "dist", "--complex", "k1_split.cplx", "0,1", "2,3"], 0),
-    ("k1_split_dist_self", ["gallery", "dist", "--complex", "k1_split.cplx", "2,3", "2,3"], 0),
-    ("k1_split_connected_k0", ["gallery", "connected", "--complex", "k1_split.cplx", "--k", "0"], 0),
-    ("k1_split_connected_k1", ["gallery", "connected", "--complex", "k1_split.cplx", "--k", "1"], 0),
-    ("k1_split_fill", ["gallery", "fill", "--complex", "k1_split.cplx", "0,4", "3,7", "5,6"], 0),
-    ("k1_split_fill_unfillable", ["gallery", "fill", "--complex", "k1_split.cplx", "0,1", "0,4"], 0),
-    ("k1_split_eval", ["distortion", "eval", "--complex", "k1_split.cplx",
-                       "--embedding", "gaussian:3:1", "--k", "1"], 1),
-    ("k1_connected_dist", ["gallery", "dist", "--complex", "k1_connected.cplx", "0,1", "2,3"], 0),
-    ("k1_connected_connected", ["gallery", "connected", "--complex", "k1_connected.cplx", "--k", "1"], 0),
-    ("k1_connected_fill", ["gallery", "fill", "--complex", "k1_connected.cplx",
-                           "0,1", "2,3", "4,5", "5,8"], 0),
-    ("k1_connected_eval", ["distortion", "eval", "--complex", "k1_connected.cplx",
-                           "--embedding", "gaussian:3:1", "--k", "1"], 0),
-    ("k2_connected_dist", ["gallery", "dist", "--complex", "k2_connected.cplx", "0,1,2", "3,4,5"], 0),
-    ("k2_connected_connected", ["gallery", "connected", "--complex", "k2_connected.cplx", "--k", "2"], 0),
-    ("k2_connected_fill", ["gallery", "fill", "--complex", "k2_connected.cplx",
-                           "0,1,2", "0,3,4", "2,5,6"], 0),
-    ("k2_connected_eval", ["distortion", "eval", "--complex", "k2_connected.cplx",
-                           "--embedding", "gaussian:4:2", "--k", "2"], 0),
+    ("k1_split_dist_finite",
+     ["gallery", "dist", "--complex", "k1_split.cplx", "0,4", "5,7"], 0),
+    ("k1_split_dist_apart",
+     ["gallery", "dist", "--complex", "k1_split.cplx", "0,1", "0,4"], 0),
+    ("k1_split_dist_uncovered",
+     ["gallery", "dist", "--complex", "k1_split.cplx", "0,1", "2,3"], 0),
+    ("k1_split_dist_self",
+     ["gallery", "dist", "--complex", "k1_split.cplx", "2,3", "2,3"], 0),
+    ("k1_split_connected_k0",
+     ["gallery", "connected", "--complex", "k1_split.cplx", "--k", "0"], 0),
+    ("k1_split_connected_k1",
+     ["gallery", "connected", "--complex", "k1_split.cplx", "--k", "1"], 0),
+    ("k1_split_fill",
+     ["gallery", "fill", "--complex", "k1_split.cplx", "0,4", "3,7", "5,6"], 0),
+    ("k1_split_fill_unfillable",
+     ["gallery", "fill", "--complex", "k1_split.cplx", "0,1", "0,4"], 0),
+    ("k1_split_eval",
+     ["distortion", "eval", "--complex", "k1_split.cplx",
+      "--embedding", "gaussian:3:1", "--k", "1"], 1),
+    ("k1_connected_dist",
+     ["gallery", "dist", "--complex", "k1_connected.cplx", "0,1", "2,3"], 0),
+    ("k1_connected_connected",
+     ["gallery", "connected", "--complex", "k1_connected.cplx", "--k", "1"], 0),
+    ("k1_connected_fill",
+     ["gallery", "fill", "--complex", "k1_connected.cplx",
+      "0,1", "2,3", "4,5", "5,8"], 0),
+    ("k1_connected_eval",
+     ["distortion", "eval", "--complex", "k1_connected.cplx",
+      "--embedding", "gaussian:3:1", "--k", "1"], 0),
+    ("k2_connected_dist",
+     ["gallery", "dist", "--complex", "k2_connected.cplx", "0,1,2", "3,4,5"], 0),
+    ("k2_connected_connected",
+     ["gallery", "connected", "--complex", "k2_connected.cplx", "--k", "2"], 0),
+    ("k2_connected_fill",
+     ["gallery", "fill", "--complex", "k2_connected.cplx",
+      "0,1,2", "0,3,4", "2,5,6"], 0),
+    ("k2_connected_eval",
+     ["distortion", "eval", "--complex", "k2_connected.cplx",
+      "--embedding", "gaussian:4:2", "--k", "2"], 0),
 ]
 
 
