@@ -1,10 +1,10 @@
 """CLI documents on a fixed corpus stay byte-identical.
 
-`tests/golden/` holds three `lmgen` complexes and the documents the CLI
-wrote for each command below (`<name>.json`), or the error message of a
-command that exits nonzero (`<name>.txt`). Each command runs from inside that
-directory, so the relative complex path echoed into the document's config
-matches.
+`tests/golden/` holds three `lmgen` complexes and, for each command below,
+the document the CLI wrote to `--out` (the named file), or the error message
+of a command that exits nonzero (the named `.txt` file). Each command runs
+from inside that directory, so the relative complex path echoed into the
+document's config matches.
 """
 
 from pathlib import Path
@@ -16,51 +16,69 @@ from simdist.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# (document name, CLI arguments, exit code). The complexes come from
+# (document file, CLI arguments, exit code). The complexes come from
 #   lmgen --n 8 --p 0.3 --k 1 --seed 3  -> k1_split.cplx (two gallery
 #       components and four edges in no triangle)
 #   lmgen --n 9 --p 0.6 --k 1 --seed 1  -> k1_connected.cplx
 #   lmgen --n 7 --p 0.6 --k 2 --seed 2  -> k2_connected.cplx
 CASES = [
-    ("k1_split_dist_finite",
+    ("k1_split_dist_finite.json",
      ["gallery", "dist", "--complex", "k1_split.cplx", "0,4", "5,7"], 0),
-    ("k1_split_dist_apart",
+    ("k1_split_dist_apart.json",
      ["gallery", "dist", "--complex", "k1_split.cplx", "0,1", "0,4"], 0),
-    ("k1_split_dist_uncovered",
+    ("k1_split_dist_uncovered.json",
      ["gallery", "dist", "--complex", "k1_split.cplx", "0,1", "2,3"], 0),
-    ("k1_split_dist_self",
+    ("k1_split_dist_self.json",
      ["gallery", "dist", "--complex", "k1_split.cplx", "2,3", "2,3"], 0),
-    ("k1_split_connected_k0",
+    ("k1_split_connected_k0.json",
      ["gallery", "connected", "--complex", "k1_split.cplx", "--k", "0"], 0),
-    ("k1_split_connected_k1",
+    ("k1_split_connected_k1.json",
      ["gallery", "connected", "--complex", "k1_split.cplx", "--k", "1"], 0),
-    ("k1_split_fill",
+    ("k1_split_fill.json",
      ["gallery", "fill", "--complex", "k1_split.cplx", "0,4", "3,7", "5,6"], 0),
-    ("k1_split_fill_unfillable",
+    ("k1_split_fill_unfillable.json",
      ["gallery", "fill", "--complex", "k1_split.cplx", "0,1", "0,4"], 0),
-    ("k1_split_eval",
+    ("k1_split_eval.txt",
      ["distortion", "eval", "--complex", "k1_split.cplx",
       "--embedding", "gaussian:3:1", "--k", "1"], 1),
-    ("k1_connected_dist",
+    ("k1_connected_dist.json",
      ["gallery", "dist", "--complex", "k1_connected.cplx", "0,1", "2,3"], 0),
-    ("k1_connected_connected",
+    ("k1_connected_connected.json",
      ["gallery", "connected", "--complex", "k1_connected.cplx", "--k", "1"], 0),
-    ("k1_connected_fill",
+    ("k1_connected_fill.json",
      ["gallery", "fill", "--complex", "k1_connected.cplx",
       "0,1", "2,3", "4,5", "5,8"], 0),
-    ("k1_connected_eval",
+    ("k1_connected_eval.json",
      ["distortion", "eval", "--complex", "k1_connected.cplx",
       "--embedding", "gaussian:3:1", "--k", "1"], 0),
-    ("k2_connected_dist",
+    ("k2_connected_dist.json",
      ["gallery", "dist", "--complex", "k2_connected.cplx", "0,1,2", "3,4,5"], 0),
-    ("k2_connected_connected",
+    ("k2_connected_connected.json",
      ["gallery", "connected", "--complex", "k2_connected.cplx", "--k", "2"], 0),
-    ("k2_connected_fill",
+    ("k2_connected_fill.json",
      ["gallery", "fill", "--complex", "k2_connected.cplx",
       "0,1,2", "0,3,4", "2,5,6"], 0),
-    ("k2_connected_eval",
+    ("k2_connected_eval.json",
      ["distortion", "eval", "--complex", "k2_connected.cplx",
       "--embedding", "gaussian:4:2", "--k", "2"], 0),
+    ("concentration_k1.json",
+     ["concentration", "--n", "30", "--p", "0.5", "--k", "1", "--eps", "0.5",
+      "--trials", "6", "--seed", "7"], 0),
+    ("concentration_k2.csv",
+     ["concentration", "--n", "9", "--p", "0.6", "--k", "2", "--eps", "0.5",
+      "--trials", "6", "--seed", "3", "--format", "csv"], 0),
+    # purity_frequency 0.7: some samples leave a vertex in no edge
+    ("concentration_k0_impure.json",
+     ["concentration", "--n", "20", "--p", "0.2", "--k", "0", "--eps", "0.5",
+      "--trials", "10", "--seed", "5"], 0),
+    ("concentration_p0.json",
+     ["concentration", "--n", "12", "--p", "0", "--k", "1", "--eps", "0.5",
+      "--trials", "3", "--seed", "1"], 0),
+    ("lmgen_k1.cplx",
+     ["lmgen", "--n", "10", "--p", "0.4", "--k", "1", "--seed", "4"], 0),
+    ("lmgen_k2.json",
+     ["lmgen", "--n", "8", "--p", "0.5", "--k", "2", "--seed", "2",
+      "--format", "json"], 0),
 ]
 
 
@@ -79,11 +97,11 @@ def in_corpus(monkeypatch):
 
 def test_cli_documents_match_corpus(in_corpus, tmp_path):
     for name, args, exit_code in CASES:
-        out = tmp_path / f"{name}.json"
+        out = tmp_path / name
         result = run_case(args, out)
         assert result.exit_code == exit_code, name
         if exit_code == 0:
-            assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes(), name
+            assert out.read_bytes() == (GOLDEN / name).read_bytes(), name
         else:  # no document; the error message goes to stderr
             assert not out.exists(), name
-            assert result.output == (GOLDEN / f"{name}.txt").read_text(), name
+            assert result.output == (GOLDEN / name).read_text(), name
