@@ -108,25 +108,57 @@ def top_simplex_sample(params: LmParams) -> np.ndarray:
 def linial_meshulam(params: LmParams) -> SimplicialComplex:
     """Sample the model as a full complex (complete k-skeleton plus the tops)."""
     skeleton = combinations(range(params.num_vertices), params.k + 1)
-    tops = [tuple(int(v) for v in row) for row in top_simplex_sample(params)]
+    tops = list(map(tuple, top_simplex_sample(params).tolist()))
     return build_complex(list(skeleton) + tops)
+
+
+@lru_cache(maxsize=8)
+def _colex_facets(n: int, size: int) -> np.ndarray:
+    """Facet colex ranks of every size-subset of range(n), read-only.
+
+    Column r is the subset of colex rank r and row j the rank of its facet
+    that omits the j-th smallest vertex. The subsets with largest vertex m
+    are the block of columns C(m, size) .. C(m+1, size) - 1: the
+    (size-1)-subsets S of range(m) in colex order, each joined by m. Dropping
+    m leaves S, whose rank is its place in the block, and dropping another
+    vertex leaves a facet of S joined by m, whose rank is C(m, size-1) more
+    than that facet's rank among the subsets of range(m), a lower-table entry.
+    """
+    width_total = math.comb(n, size - 1)
+    dtype = np.int32 if width_total < 2**31 else np.int64
+    table = np.empty((size, math.comb(n, size)), dtype=dtype)
+    lower = _colex_facets(n, size - 1) if size > 1 else None
+    start = 0
+    for m in range(size - 1, n):
+        width = math.comb(m, size - 1)
+        block = table[:, start:start + width]
+        if lower is not None:
+            block[:-1] = lower[:, :width]
+            block[:-1] += width
+        block[-1] = np.arange(width)
+        start += width
+    table.flags.writeable = False
+    return table
 
 
 def skeleton_statistics(params: LmParams) -> tuple[int, int, int]:
     """(top simplex count, max k-face degree, min k-face degree) without
-    materializing the complex; degrees run over all C(N, k+1) k-subsets."""
-    n, k = params.num_vertices, params.k
-    tops = top_simplex_sample(params)
-    table = _comb_table(n, k + 2)
-    n_faces = math.comb(n, k + 1)
-    degrees = np.zeros(n_faces, dtype=np.int64)
-    for drop in range(k + 2):
-        cols = [j for j in range(k + 2) if j != drop]
-        facet_ranks = _subset_ranks(tops[:, cols], table)
-        degrees += np.bincount(facet_ranks, minlength=n_faces)
+    materializing the complex; degrees run over all C(N, k+1) k-subsets.
+
+    The uniform at position r decides the subset of colex rank r, so the
+    included subsets are the positions of the draws below p, and the degrees
+    are bincounts of their facet ranks.
+    """
+    n, size = params.num_vertices, params.k + 2
+    rng = np.random.Generator(np.random.Philox(key=params.seed))
+    tops = np.flatnonzero(rng.random(math.comb(n, size)) < params.p)
     if len(tops) == 0:
         return 0, 0, 0
-    return int(len(tops)), int(degrees.max()), int(degrees.min())
+    n_faces = math.comb(n, size - 1)
+    degrees = sum(
+        np.bincount(row[tops], minlength=n_faces) for row in _colex_facets(n, size)
+    )
+    return len(tops), int(degrees.max()), int(degrees.min())
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from simdist.random_complexes import (
     LmParams,
+    _colex_facets,
     colex_rank,
     concentration_report,
     linial_meshulam,
@@ -95,6 +97,43 @@ def test_fast_statistics_match_complex():
         degrees = [len(x.coface_indices(1, i)) for i in range(x.simplex_count(1))]
         assert max_deg == max(degrees)
         assert min_deg == min(degrees)
+
+
+def test_colex_facets_match_colex_rank():
+    for n in range(1, 11):
+        for size in range(1, min(n, 5) + 1):
+            subsets = sorted(combinations(range(n), size), key=colex_rank)
+            expected = np.array(
+                [[colex_rank(s[:j] + s[j + 1:]) for s in subsets] for j in range(size)]
+            )
+            table = _colex_facets(n, size)
+            assert table.shape == (size, math.comb(n, size)), (n, size)
+            assert np.array_equal(table, expected), (n, size)
+            assert not table.flags.writeable
+
+
+def brute_force_statistics(params):
+    """Count, max and min k-face degree from the rows of top_simplex_sample."""
+    rows = top_simplex_sample(params).tolist()
+    if not rows:
+        return 0, 0, 0
+    degrees = Counter(
+        tuple(row[:j] + row[j + 1:]) for row in rows for j in range(len(row))
+    )
+    all_faces = combinations(range(params.num_vertices), params.k + 1)
+    counts = [degrees[face] for face in all_faces]
+    return len(rows), max(counts), min(counts)
+
+
+def test_statistics_match_sample_oracle():
+    for k in range(4):
+        for n in range(k + 2, k + 8):
+            for p in (0.0, 0.35, 1.0):
+                for seed in (0, 1, 17):
+                    params = LmParams(n, p, k, seed)
+                    assert skeleton_statistics(params) == brute_force_statistics(
+                        params
+                    ), params
 
 
 def test_purity_iff_min_degree_positive():
