@@ -40,12 +40,15 @@ class UnfillableError(ValueError):
     """Some pair of the face set cannot be joined by any gallery."""
 
 
-def _incidence_components(complex_: SimplicialComplex, k: int) -> tuple[int, np.ndarray]:
+def _incidence_components(
+    complex_: SimplicialComplex, k: int
+) -> tuple[int, np.ndarray, np.ndarray]:
     """Components of the graph joining each k-face to the (k+1)-simplices on it.
 
-    Returns their number and the labels of the (k+1)-simplices. Two
-    (k+1)-simplices share a component iff a gallery joins them, and a k-face
-    in no (k+1)-simplex is a component of its own.
+    Returns their number and the labels of the k-faces and of the
+    (k+1)-simplices. Two (k+1)-simplices, or two distinct k-faces, share a
+    component iff a gallery joins them; a k-face in no (k+1)-simplex is a
+    component of its own.
     """
     indptr, indices = complex_.coface_csr(k)
     n_faces = len(indptr) - 1
@@ -58,7 +61,7 @@ def _incidence_components(complex_: SimplicialComplex, k: int) -> tuple[int, np.
         (np.ones(len(indices)), indices + n_faces, rows), shape=(size, size)
     )
     count, labels = csgraph.connected_components(incidence, directed=False)
-    return count, labels[n_faces:]
+    return count, labels[:n_faces], labels[n_faces:]
 
 
 class GalleryGraph:
@@ -88,7 +91,7 @@ class GalleryGraph:
         self._indptr = shared.indptr.astype(np.intp)
         self._indices = shared.indices.astype(np.intp)
         self._degrees = np.diff(self._indptr)
-        self._incidence_count, self.components = _incidence_components(complex_, k)
+        self._incidence_count, _, self.components = _incidence_components(complex_, k)
         self._face_tables: dict[int, np.ndarray] = {}
 
     @property
@@ -388,19 +391,14 @@ class GalleryLinkReport:
 def gallery_link_report(complex_: SimplicialComplex, k: int) -> GalleryLinkReport:
     """Verify the link-connectivity criteria for gallery connectivity at level k.
 
-    The k-simplices through a (k-1)-simplex tau are tau joined by each link
-    vertex, in link-vertex order: they are tau's cofaces. Two distinct
-    k-simplices are joined by a gallery iff both lie in (k+1)-simplices of
-    one incidence component.
+    The k-simplices through a (k-1)-simplex tau are its cofaces, tau joined by
+    each link vertex in link-vertex order; a pair of them is joined iff the
+    incidence gives both one label.
     """
     if k < 1 or k > complex_.dim - 1:
         raise DegreeError(f"degree {k} outside 1..{complex_.dim - 1}")
     report = GalleryLinkReport(k=k)
-    count, labels = _incidence_components(complex_, k)
-    indptr, indices = complex_.coface_csr(k)
-    covered = indptr[1:] > indptr[:-1]
-    face_labels = np.full(len(covered), -1, dtype=np.int64)
-    face_labels[covered] = labels[indices[indptr[:-1][covered]]]
+    count, face_labels, _ = _incidence_components(complex_, k)
 
     all_links_connected = True
     for t, tau in enumerate(complex_.simplices(k - 1)):
@@ -414,15 +412,13 @@ def gallery_link_report(complex_: SimplicialComplex, k: int) -> GalleryLinkRepor
             report.local_vacuous_pairs += pairs
             continue
         report.local_pairs_checked += pairs
-        if not (pairs and report.local_holds):
-            continue
         faces = complex_.coface_indices(k - 1, t)
         found = face_labels[faces]
-        if found.min() < 0 or (found != found[0]).any():
+        if report.local_holds and (found != found[:1]).any():
             report.local_holds = False
             a, b = next(
                 (a, b) for a, b in combinations(range(len(faces)), 2)
-                if found[a] < 0 or found[a] != found[b]
+                if found[a] != found[b]
             )
             simplices = complex_.simplices(k)
             report.local_counterexample = (simplices[faces[a]], simplices[faces[b]])

@@ -124,8 +124,7 @@ def _colex_facets(n: int, size: int) -> np.ndarray:
     vertex leaves a facet of S joined by m, whose rank is C(m, size-1) more
     than that facet's rank among the subsets of range(m), a lower-table entry.
     """
-    width_total = math.comb(n, size - 1)
-    dtype = np.int32 if width_total < 2**31 else np.int64
+    dtype = np.int32 if math.comb(n, size - 1) < 2**31 else np.int64
     table = np.empty((size, math.comb(n, size)), dtype=dtype)
     lower = _colex_facets(n, size - 1) if size > 1 else None
     start = 0

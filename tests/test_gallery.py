@@ -462,6 +462,7 @@ def test_link_report_disconnected_link_vacuous():
     report = gallery_link_report(x, 1)
     assert report.local_vacuous_pairs > 0
     assert not report.inductive_hypotheses_met
+    assert not report.inductive_conclusion  # the triangles share no edge
     assert report.inductive_holds  # vacuously
 
 
