@@ -100,7 +100,8 @@ class SimplicialComplex:
     """
 
     __slots__ = ("dim", "labels", "_label_to_id", "_simplices", "_rows", "_index",
-                 "_cofaces", "_weights", "_pure", "_differentials")
+                 "_cofaces", "_weights", "_pure", "_differentials",
+                 "_gallery_labels")
 
     def __init__(self, generating_simplices, *, allow_empty: bool = False):
         generating = [_canonical(s) for s in generating_simplices]
@@ -156,6 +157,8 @@ class SimplicialComplex:
         self._pure = all(all(w > 0 for w in level) for level in self._weights)
         # incidence matrices by degree, filled by cochains.differential_matrix
         self._differentials: dict = {}
+        # gallery component labels by degree, filled by gallery._incidence_components
+        self._gallery_labels: dict = {}
 
     # -- basic queries ------------------------------------------------------
 

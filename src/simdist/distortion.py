@@ -29,7 +29,12 @@ from .cochains import (
     upper_laplacian,
 )
 from .complexes import DegreeError, NotPureError, SimplicialComplex
-from .gallery import GalleryGraph, UnfillableError, fill_number, is_gallery_connected
+from .gallery import (  # noqa: F401 - perfbench traces fill_number here
+    GalleryGraph,
+    UnfillableError,
+    fill_number,
+    is_gallery_connected,
+)
 from .geometry import (  # noqa: F401 - perfbench traces enclosed_projection_volume here
     Embedding,
     GeometryError,
@@ -534,21 +539,17 @@ def evaluate_distortion(
     rows = np.concatenate(
         [family.vertex_sets, complex_.simplex_rows(k + 1)[np.array(missing, dtype=bool)]]
     )
-    volumes = simplex_boundary_projection_volumes(rows, embedding.points).tolist()
-
-    graph = GalleryGraph(complex_, k)
+    volumes = simplex_boundary_projection_volumes(rows, embedding.points)
+    fills = GalleryGraph(complex_, k).fill_numbers(complex_.facet_indices(rows))
+    positive = volumes > 0.0
+    forward = float((volumes / fills).max(initial=0.0))
+    backward = float((fills[positive] / volumes[positive]).max(initial=0.0))
+    infinite = bool((volumes == 0.0).any())
     evaluations = []
-    infinite = False
-    forward = backward = 0.0
-    for row, volume in zip(rows.tolist(), volumes):
-        faces = tuple(tuple(row[:j] + row[j + 1:]) for j in range(k + 2))
-        fill = fill_number(complex_, faces, graph=graph).exact
-        forward = max(forward, volume / fill)
-        if volume > 0.0:
-            backward = max(backward, fill / volume)
-        if volume == 0.0:
-            infinite = True
-        evaluations.append(MemberEvaluation(faces, volume, fill))
+    if keep_members:
+        for row, volume, fill in zip(rows.tolist(), volumes.tolist(), fills.tolist()):
+            faces = tuple(tuple(row[:j] + row[j + 1:]) for j in range(k + 2))
+            evaluations.append(MemberEvaluation(faces, volume, fill))
 
     bound = None
     if include_bound:
@@ -564,7 +565,7 @@ def evaluate_distortion(
     return DistortionReport(
         k=k,
         family_size=family.size,
-        evaluated_members=len(evaluations),
+        evaluated_members=len(rows),
         sup_forward_lo=forward,
         sup_forward_hi=forward,
         sup_backward_lo=backward,

@@ -33,11 +33,28 @@ __all__ = [
 ]
 
 INF = math.inf
-UNREACHED = np.iinfo(np.int32).max // 4  # face-table entry of another component
+# Entries of one block of face tables or Dreyfus-Wagner tables: the batched
+# kernels work through their rows in blocks of about this many entries.
+BLOCK_ENTRIES = 1 << 22
 
 
 class UnfillableError(ValueError):
     """Some pair of the face set cannot be joined by any gallery."""
+
+
+def _face_graph(complex_: SimplicialComplex, k: int) -> sparse.csr_matrix:
+    """The k-faces, adjacent when one (k+1)-simplex holds both.
+
+    This is B B^T for the face-coface incidence B. Its diagonal only adds
+    self-loops, which breadth-first search ignores; float64 entries, since
+    csgraph would convert any other dtype on every call.
+    """
+    indptr, indices = complex_.coface_csr(k)
+    incidence = sparse.csr_matrix(
+        (np.ones(len(indices)), indices, indptr),
+        shape=(len(indptr) - 1, complex_.simplex_count(k + 1)),
+    )
+    return (incidence @ incidence.T).tocsr()
 
 
 def _incidence_components(
@@ -46,22 +63,27 @@ def _incidence_components(
     """Components of the graph joining each k-face to the (k+1)-simplices on it.
 
     Returns their number and the labels of the k-faces and of the
-    (k+1)-simplices. Two (k+1)-simplices, or two distinct k-faces, share a
-    component iff a gallery joins them; a k-face in no (k+1)-simplex is a
-    component of its own.
+    (k+1)-simplices, kept on the complex per k. Two (k+1)-simplices, or two
+    distinct k-faces, share a component iff a gallery joins them; a k-face in
+    no (k+1)-simplex is a component of its own.
     """
-    indptr, indices = complex_.coface_csr(k)
-    n_faces = len(indptr) - 1
-    size = n_faces + complex_.simplex_count(k + 1)
-    # vertices 0..n_faces-1 are the faces, n_faces + j is (k+1)-simplex j;
-    # only the face rows hold entries. float64 entries: csgraph would convert
-    # any other dtype on every call
-    rows = np.concatenate([indptr, np.full(size - n_faces, indptr[-1])])
-    incidence = sparse.csr_matrix(
-        (np.ones(len(indices)), indices + n_faces, rows), shape=(size, size)
-    )
-    count, labels = csgraph.connected_components(incidence, directed=False)
-    return count, labels[:n_faces], labels[n_faces:]
+    cached = complex_._gallery_labels.get(k)
+    if cached is None:
+        indptr, indices = complex_.coface_csr(k)
+        n_faces = len(indptr) - 1
+        size = n_faces + complex_.simplex_count(k + 1)
+        # vertices 0..n_faces-1 are the faces, n_faces + j is (k+1)-simplex
+        # j; only the face rows hold entries
+        rows = np.concatenate([indptr, np.full(size - n_faces, indptr[-1])])
+        incidence = sparse.csr_matrix(
+            (np.ones(len(indices)), indices + n_faces, rows), shape=(size, size)
+        )
+        count, labels = csgraph.connected_components(incidence, directed=False)
+        labels.flags.writeable = False
+        cached = complex_._gallery_labels[k] = (
+            count, labels[:n_faces], labels[n_faces:]
+        )
+    return cached
 
 
 class GalleryGraph:
@@ -91,7 +113,9 @@ class GalleryGraph:
         self._indptr = shared.indptr.astype(np.intp)
         self._indices = shared.indices.astype(np.intp)
         self._degrees = np.diff(self._indptr)
-        self._incidence_count, _, self.components = _incidence_components(complex_, k)
+        self._incidence_count, self._face_components, self.components = (
+            _incidence_components(complex_, k)
+        )
         self._face_tables: dict[int, np.ndarray] = {}
 
     @property
@@ -109,34 +133,147 @@ class GalleryGraph:
     def relax(self, table: np.ndarray, cap: int) -> np.ndarray:
         """Lower `table` in place to min over u of table[u] + dist(u, v).
 
-        Levels are settled in increasing order, each pushing one step to
-        its neighbours, so every entry that ends at most `cap` is exact;
-        entries above `cap` only stay above it. Stops early once no entry
-        lies between the level reached and `cap`.
+        `table` is one row over the nodes or a contiguous (rows, nodes)
+        array whose rows are relaxed each on its own. Levels are settled in
+        increasing order, each pushing one step from every (row, node) entry
+        at that level to the node's neighbours, so every entry that ends at
+        most `cap` is exact; entries above `cap` only stay above it. Stops
+        early once no entry lies between the level reached and `cap`.
         """
-        level = int(table.min(initial=cap))
+        flat = table.reshape(-1)
+        level = int(flat.min(initial=cap))
         while level < cap:
-            frontier = (table == level).nonzero()[0]
+            frontier = (flat == level).nonzero()[0]
             if frontier.size:
-                reached = self._neighbours(frontier)
-                table[reached] = np.minimum(table[reached], level + 1)
-            elif not ((table > level) & (table < cap)).any():
+                nodes = frontier % self.num_nodes
+                reached = self._neighbours(nodes)
+                reached += np.repeat(frontier - nodes, self._degrees[nodes])
+                flat[reached] = np.minimum(flat[reached], level + 1)
+            elif not ((flat > level) & (flat < cap)).any():
                 break
             level += 1
         return table
 
-    def face_table(self, face: int) -> np.ndarray:
-        """Node-count distance from the star of k-face number `face`, cached.
+    def face_tables(self, faces) -> np.ndarray:
+        """Node-count distances from the stars of k-faces, one row per face.
 
-        A node of the star costs 1 and each step adds 1; nodes of other
-        components hold UNREACHED.
+        A node of the face's star costs 1 and each gallery step adds 1, so
+        an entry is 1 + the least face-graph distance from the face to a
+        k-face of the node. Rows come from breadth-first searches over the
+        face graph in blocks of faces and are stored in the smallest unsigned
+        dtype that holds them. Nodes of other components hold the dtype's
+        maximum, above every real entry.
         """
+        faces = np.asarray(faces, dtype=np.intp)
+        face_graph = _face_graph(self.complex, self.k)
+        node_faces = self.complex.facet_indices(self.complex.simplex_rows(self.k + 1))
+        tables = np.empty((len(faces), self.num_nodes), dtype=np.uint8)
+        step = max(1, BLOCK_ENTRIES // max(self.num_nodes, face_graph.shape[0]))
+        for start in range(0, len(faces), step):
+            dist = csgraph.shortest_path(
+                face_graph, unweighted=True, indices=faces[start:start + step]
+            )
+            reached = np.isfinite(dist)
+            longest = int(dist[reached].max(initial=0)) + 1
+            marker = np.iinfo(tables.dtype).max
+            if longest >= marker:  # widen, and move the unreached marker along
+                tables = tables.astype(np.min_scalar_type(longest + 1))
+                tables[tables == marker] = np.iinfo(tables.dtype).max
+            dist[~reached] = np.iinfo(tables.dtype).max - 1
+            dist = dist.astype(tables.dtype)
+            block = dist[:, node_faces[:, 0]]
+            for column in node_faces.T[1:]:
+                np.minimum(block, dist[:, column], out=block)
+            tables[start:start + step] = block + 1
+        return tables
+
+    def face_table(self, face: int) -> np.ndarray:
+        """The face table of k-face number `face`, cached."""
         table = self._face_tables.get(face)
         if table is None:
-            table = np.full(self.num_nodes, UNREACHED, dtype=np.int32)
-            table[self.complex.coface_indices(self.k, face)] = 1
-            table = self._face_tables[face] = self.relax(table, UNREACHED)
+            table = self._face_tables[face] = self.face_tables([face])[0]
         return table
+
+    def steiner_tables(self, tables: np.ndarray, caps: np.ndarray):
+        """Dreyfus-Wagner tables over the face subsets of a batch of face sets.
+
+        `tables` is an (m, s, nodes) int64 array of the face tables of m sets
+        of s faces, and `caps` their spider fills. Returns the dicts `tree`
+        and `merged` by face bitmask, each entry an (m, nodes) array:
+        ``tree[S]`` is the fewest nodes of a connected set that holds the node
+        and touches every star in S, and ``merged[S]`` its value where two
+        parts of S meet, ``min over splits A|B of tree[A] + tree[B] - 1``.
+        The spider is a filling of `cap` nodes, so each row need only be
+        exact below its cap: entries under it are exact, and the others only
+        say "at least cap". The relaxation therefore stops at the largest cap
+        of the batch, which is still exact for every row.
+        """
+        s = tables.shape[1]
+        full = (1 << s) - 1
+        limit = int(caps.max()) - 1
+        tree = {1 << i: np.minimum(tables[:, i], caps[:, None]) for i in range(s)}
+        merged = {}
+        for subset in range(3, full + 1):
+            if subset & (subset - 1) == 0:
+                continue  # a single face: its table is a face table
+            best = None
+            for part in _splits(subset):
+                joined = tree[part] + tree[subset ^ part]
+                best = joined if best is None else np.minimum(best, joined, out=best)
+            best -= 1
+            merged[subset] = best
+            tree[subset] = best if subset == full else self.relax(best.copy(), limit)
+        return tree, merged
+
+    def fill_numbers(self, faces) -> np.ndarray:
+        """Exact filling numbers of face sets given as rows of k-face indices.
+
+        `faces` is an (M, s) array, s >= 2, of distinct k-face indices per
+        row, such as `complex_.facet_indices(rows)` for the boundaries of
+        (k+1)-simplex rows. Every row's faces must share one gallery
+        component: for the first row whose faces do not, `fill_number`
+        raises its UnfillableError. A row's spider, the fewest nodes of
+        shortest galleries from one node to every star, is
+        ``min_v sum_i t_i(v) - (s - 1)``. With at most three faces nothing
+        beats it: a minimal connected set touching three stars has at most
+        one branch node. With more faces, rows whose spider exceeds 2 run
+        the Dreyfus-Wagner recursion of `steiner_tables`, the member as the
+        leading array axis. Rows go in blocks of about BLOCK_ENTRIES entries.
+        """
+        faces = np.asarray(faces, dtype=np.intp)
+        labels = self._face_components[faces]
+        apart = (labels != labels[:, :1]).any(axis=1)
+        if apart.any():
+            simplices = self.complex.simplices(self.k)
+            fill_number(
+                self.complex, [simplices[i] for i in faces[apart.argmax()]], graph=self
+            )
+        used, where = np.unique(faces, return_inverse=True)
+        tables = self.face_tables(used)
+        where = where.reshape(faces.shape)
+        s = faces.shape[1]
+        fills = np.empty(len(faces), dtype=np.int64)
+        # narrowest dtype that holds a sum of s entries: small rows stay in cache
+        wide = np.min_scalar_type(s * int(np.iinfo(tables.dtype).max))
+        step = max(1, BLOCK_ENTRIES // max(1, self.num_nodes << s))
+        for start in range(0, len(faces), step):
+            rows = where[start:start + step]
+            spider = tables[rows[:, 0]].astype(wide)
+            for column in rows.T[1:]:
+                spider += tables[column]
+            fills[start:start + step] = spider.min(axis=1) - (s - 1)
+        if s <= 3:
+            return fills
+        # a block holds 2^s subset tables, and relaxing one pushes along
+        # every adjacency entry of its rows
+        search = np.flatnonzero(fills > 2)
+        step = max(1, BLOCK_ENTRIES // ((len(self._indices) + self.num_nodes) << s))
+        for start in range(0, len(search), step):
+            rows = search[start:start + step]
+            caps = fills[rows]
+            _, merged = self.steiner_tables(tables[where[rows]].astype(np.int64), caps)
+            fills[rows] = np.minimum(merged[(1 << s) - 1].min(axis=1), caps)
+        return fills
 
 
 def _graph_at(complex_: SimplicialComplex, face: tuple, graph: GalleryGraph | None):
@@ -152,7 +289,13 @@ def _graph_at(complex_: SimplicialComplex, face: tuple, graph: GalleryGraph | No
 def gallery_distance(
     complex_: SimplicialComplex, eta0, eta1, *, graph: GalleryGraph | None = None
 ):
-    """Minimal gallery length joining two k-simplices; inf when none exists."""
+    """Minimal gallery length joining two k-simplices; inf when none exists.
+
+    With `graph`, the face table of `eta0` is read at the star of `eta1`.
+    Without it, the length is the face-graph distance, found by one
+    breadth-first search from `eta0`: a gallery of m simplices passes
+    through m + 1 faces, each two consecutive ones in one simplex.
+    """
     s0 = tuple(sorted(eta0))
     s1 = tuple(sorted(eta1))
     if len(s0) != len(s1):
@@ -161,10 +304,16 @@ def gallery_distance(
     i1 = complex_.index_of(s1)
     if s0 == s1:
         return 0
+    if graph is None:
+        dist = csgraph.shortest_path(
+            _face_graph(complex_, len(s0) - 1), unweighted=True, indices=i0
+        )[i1]
+        return INF if dist == INF else int(dist)
     graph = _graph_at(complex_, s0, graph)
-    targets = complex_.coface_indices(graph.k, i1)
-    best = graph.face_table(i0)[targets].min(initial=UNREACHED)
-    return INF if best == UNREACHED else int(best)
+    table = graph.face_table(i0)
+    unreached = np.iinfo(table.dtype).max
+    best = int(table[complex_.coface_indices(graph.k, i1)].min(initial=unreached))
+    return INF if best == unreached else best
 
 
 def is_gallery_connected(
@@ -258,11 +407,11 @@ def fill_number(
     from one star lie in one connected part of it; joining every pair then
     means one connected part touches every star. The filling number is thus
     the node-weighted group Steiner number of the stars, which the
-    Dreyfus–Wagner dynamic program over face subsets computes exactly:
-    ``tree[S][v]`` is the fewest nodes of a connected set that holds node v
-    and touches every star in S, and ``merged[S]`` is its value at nodes where
-    two parts of S meet, ``min over splits A|B of tree[A] + tree[B] - 1``,
-    from which ``tree[S]`` follows by unit-step relaxation.
+    Dreyfus–Wagner dynamic program over face subsets
+    (`GalleryGraph.steiner_tables`) computes exactly. This is the reference
+    that `GalleryGraph.fill_numbers` is tested against: it runs the recursion
+    at any number of faces, where the batch takes the spider at three or
+    fewer, and walks the tables back to one filling that attains the number.
     """
     face_set = sorted({tuple(sorted(f)) for f in faces})
     if len({len(f) for f in face_set}) > 1:
@@ -297,27 +446,15 @@ def fill_number(
             )
 
     # The spider, shortest galleries from `center` to every star, is a
-    # filling of `cap` nodes, so the tables need only be exact below cap:
-    # entries under cap are exact and the others only say "at least cap".
-    face_tables = [graph.face_table(i) for i in face_ids]
-    spider = np.sum(face_tables, axis=0, dtype=np.int64) - (len(face_set) - 1)
+    # filling of `cap` nodes; the recursion runs as a batch of one face set.
+    tables = graph.face_tables(face_ids).astype(np.int64)
+    spider = tables.sum(axis=0) - (len(face_set) - 1)
     center = int(spider.argmin())
     cap = int(spider[center])
     full = (1 << len(face_set)) - 1
-    tree = {1 << i: np.minimum(t, cap) for i, t in enumerate(face_tables)}
-    merged = {}
-    for subset in range(3, full + 1):
-        if subset & (subset - 1) == 0:
-            continue  # a single face: its table is a face table
-        best = None
-        for part in _splits(subset):
-            joined = tree[part] + tree[subset ^ part]
-            best = joined if best is None else np.minimum(best, joined, out=best)
-        best -= 1
-        merged[subset] = best
-        tree[subset] = (
-            best if subset == full else graph.relax(best.copy(), cap - 1)
-        )
+    tree, merged = graph.steiner_tables(tables[None], np.array([cap]))
+    tree = {subset: table[0] for subset, table in tree.items()}
+    merged = {subset: table[0] for subset, table in merged.items()}
 
     # Walk the tables back from the best meeting node of all faces, or from
     # the spider's center when nothing beats the spider.
@@ -351,6 +488,11 @@ class GalleryLinkReport:
     Local criterion: two k-simplices meeting in a (k-1)-simplex with a
     connected link are joined by a gallery. Inductive criterion: k-gallery
     connectivity plus connected (k-1)-links imply (k+1)-gallery connectivity.
+
+    `local_holds` cannot fail on any complex: an edge of tau's link is a
+    (k+1)-simplex holding both k-faces it joins, so a path in a connected
+    link is a gallery. The check is kept as a consistency test of the
+    labelling, not as evidence for the criterion.
     """
 
     k: int
@@ -388,6 +530,35 @@ class GalleryLinkReport:
         }
 
 
+def _link_components(
+    complex_: SimplicialComplex, k: int, owner: np.ndarray, indices: np.ndarray
+) -> np.ndarray:
+    """Number of components of the link of every (k-1)-simplex tau.
+
+    `owner` and `indices` list the entries of the level-(k-1) coface CSR:
+    entry e is the k-simplex indices[e] on tau owner[e], which is one vertex
+    of tau's link. The link's edges are tau's (k+1)-cofaces, each joining
+    its two k-faces through tau, so one labelling over the entries settles
+    every link at once.
+    """
+    n_k = complex_.simplex_count(k)
+    keys = owner * n_k + indices  # increasing: rows by tau, sorted within
+    rho = complex_.facet_indices(complex_.simplex_rows(k + 1))
+    sigma = complex_.facet_indices(complex_.simplex_rows(k))
+    # tau is rho without vertices a < b; in the face of rho without a,
+    # vertex b sits at column b - 1
+    a, b = np.triu_indices(k + 2, 1)
+    tau = sigma[rho[:, a], b - 1].ravel()
+    ends = [np.searchsorted(keys, tau * n_k + rho[:, c].ravel()) for c in (a, b)]
+    edges = sparse.csr_matrix(
+        (np.ones(len(tau)), (ends[0], ends[1])), shape=(len(keys), len(keys))
+    )
+    count, labels = csgraph.connected_components(edges, directed=False)
+    link_of = np.empty(count, dtype=np.intp)
+    link_of[labels] = owner
+    return np.bincount(link_of, minlength=complex_.simplex_count(k - 1))
+
+
 def gallery_link_report(complex_: SimplicialComplex, k: int) -> GalleryLinkReport:
     """Verify the link-connectivity criteria for gallery connectivity at level k.
 
@@ -400,28 +571,23 @@ def gallery_link_report(complex_: SimplicialComplex, k: int) -> GalleryLinkRepor
     report = GalleryLinkReport(k=k)
     count, face_labels, _ = _incidence_components(complex_, k)
 
-    all_links_connected = True
-    for t, tau in enumerate(complex_.simplices(k - 1)):
-        link_complex = complex_.link(tau)
-        n_link_vertices = link_complex.simplex_count(0)
-        connected = n_link_vertices <= 1 or is_gallery_connected(link_complex, 0)
-        if n_link_vertices == 0 or not connected:
-            all_links_connected = False
-        pairs = n_link_vertices * (n_link_vertices - 1) // 2
-        if not connected:
-            report.local_vacuous_pairs += pairs
-            continue
-        report.local_pairs_checked += pairs
-        faces = complex_.coface_indices(k - 1, t)
-        found = face_labels[faces]
-        if report.local_holds and (found != found[:1]).any():
-            report.local_holds = False
-            a, b = next(
-                (a, b) for a, b in combinations(range(len(faces)), 2)
-                if found[a] != found[b]
-            )
-            simplices = complex_.simplices(k)
-            report.local_counterexample = (simplices[faces[a]], simplices[faces[b]])
+    indptr, indices = complex_.coface_csr(k - 1)
+    sizes = np.diff(indptr)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    connected = _link_components(complex_, k, owner, indices) <= 1
+    pairs = sizes * (sizes - 1) // 2
+    report.local_pairs_checked = int(pairs[connected].sum())
+    report.local_vacuous_pairs = int(pairs[~connected].sum())
+    all_links_connected = bool((connected & (sizes > 0)).all())
+    found = face_labels[indices]
+    split = connected[owner] & (found != found[indptr[owner]])
+    if split.any():
+        e = int(split.argmax())
+        simplices = complex_.simplices(k)
+        report.local_holds = False
+        report.local_counterexample = (
+            simplices[indices[indptr[owner[e]]]], simplices[indices[e]]
+        )
 
     lower_connected = is_gallery_connected(complex_, k - 1)
     report.inductive_hypotheses_met = lower_connected and all_links_connected

@@ -4,6 +4,9 @@ import pytest
 from click.testing import CliRunner
 
 from simdist.cli import main
+from simdist.complexes import build_complex, save_complex_text
+from simdist.distortion import vertex_set_family
+from simdist.gallery import UnfillableError, fill_number
 
 
 @pytest.fixture()
@@ -174,3 +177,27 @@ def test_input_errors_exit_two(runner, tmp_path):
         main, ["spectrum", "--complex", str(path), "--k", "7"]
     )
     assert out_of_range.exit_code == 2
+
+
+def test_distortion_eval_names_first_unfillable_member(runner, tmp_path):
+    # a Steiner triple system on 7 points plus the triangle (0, 1, 2): every
+    # edge lies in a triangle, but the complex is not gallery-connected
+    x = build_complex([(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 0),
+                       (5, 6, 1), (6, 0, 2), (0, 1, 2)])
+    path = tmp_path / "sts.cplx"
+    save_complex_text(x, path)
+    expected = None
+    for row in vertex_set_family(x, 1).vertex_sets.tolist():
+        faces = [tuple(row[:j] + row[j + 1:]) for j in range(3)]
+        try:
+            fill_number(x, faces)
+        except UnfillableError as exc:
+            expected = str(exc)
+            break
+    assert expected == "no gallery joins (0, 1) and (0, 4)"
+    result = runner.invoke(
+        main, ["distortion", "eval", "--complex", str(path),
+               "--embedding", "gaussian:3:1", "--k", "1"],
+    )
+    assert result.exit_code == 1
+    assert f"error: {expected}" in result.output

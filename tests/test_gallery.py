@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import simdist.gallery as gallery_module
 from simdist.complexes import DegreeError, build_complex, complete_complex
 from simdist.gallery import (
     GalleryGraph,
@@ -220,6 +221,26 @@ def test_distance_matches_node_bfs():
     assert split >= 10
 
 
+def test_distance_without_graph_matches_graph_path():
+    rng = np.random.default_rng(11)
+    seen = {"inf": 0, "far": 0}
+    for k in (0, 1, 2):
+        for _ in range(6):
+            n = int(rng.integers(k + 5, k + 9))
+            tops = [rng.choice(n, k + 2, replace=False).tolist()
+                    for _ in range(int(rng.integers(3, 10)))]
+            tops += [rng.choice(n, k + 1, replace=False).tolist() for _ in range(2)]
+            x = build_complex(tops)
+            graph = GalleryGraph(x, k)
+            for a in x.simplices(k):
+                for b in x.simplices(k):
+                    expected = gallery_distance(x, a, b, graph=graph)
+                    assert gallery_distance(x, a, b) == expected
+                    seen["inf"] += expected == INF
+                    seen["far"] += 1 < expected < INF
+    assert min(seen.values()) > 0, seen
+
+
 # -- connectivity ----------------------------------------------------------------
 
 
@@ -399,6 +420,74 @@ def test_relax_crosses_empty_levels():
     table = np.array([1, 3, 99, 99], dtype=np.int32)
     assert graph.relax(table, 10).tolist() == [1, 3, 4, 5]
     assert graph.relax(np.array([1, 3, 99, 99], dtype=np.int32), 4).tolist() == [1, 3, 4, 99]
+
+
+@pytest.mark.parametrize("block_entries", [gallery_module.BLOCK_ENTRIES, 1 << 11])
+def test_fill_numbers_match_fill_number_on_every_member(monkeypatch, block_entries):
+    # the default budget holds every member in one block, where spider caps
+    # differ between rows; the small one puts a row or two in each block, so
+    # rows and face tables cross many block edges
+    monkeypatch.setattr(gallery_module, "BLOCK_ENTRIES", block_entries)
+    beaten = 0  # members whose fill is below their spider
+    for n, p, k, seed in [(11, 0.5, 1, 1), (11, 0.5, 1, 2), (8, 0.6, 2, 2),
+                          (9, 0.5, 2, 2), (8, 0.6, 3, 1), (8, 0.6, 3, 2)]:
+        x = linial_meshulam(LmParams(n, p, k, seed=seed))
+        graph = GalleryGraph(x, k)
+        rows = np.array(list(combinations(range(n), k + 2)))
+        faces = x.facet_indices(rows)
+        fills = graph.fill_numbers(faces)
+        simplices = x.simplices(k)
+        for row, fill in zip(faces, fills.tolist()):
+            assert fill == fill_number(x, [simplices[i] for i in row], graph=graph).exact
+        tables = graph.face_tables(np.arange(len(simplices))).astype(np.int64)
+        spider = tables[faces].sum(axis=1).min(axis=1) - (k + 1)
+        assert (fills <= spider).all()
+        beaten += int((fills < spider).sum())
+    assert beaten > 0
+
+
+def test_steiner_tables_batch_matches_one_row_at_a_time():
+    # rows of one batch relax to the largest cap among them; below its own
+    # cap, each row's tables must equal those of the row run alone
+    for n, p, k, seed in [(9, 0.5, 2, 2), (8, 0.6, 3, 1)]:
+        x = linial_meshulam(LmParams(n, p, k, seed=seed))
+        graph = GalleryGraph(x, k)
+        faces = x.facet_indices(np.array(list(combinations(range(n), k + 2))))
+        tables = graph.face_tables(np.arange(x.simplex_count(k))).astype(np.int64)
+        tables = tables[faces]
+        caps = tables.sum(axis=1).min(axis=1) - (k + 1)
+        tables, caps = tables[caps > 2], caps[caps > 2]
+        assert len(set(caps.tolist())) > 1
+        tree, _ = graph.steiner_tables(tables, caps)
+        for i, cap in enumerate(caps.tolist()):
+            alone, _ = graph.steiner_tables(tables[i:i + 1], caps[i:i + 1])
+            for subset, table in alone.items():
+                assert (np.minimum(tree[subset][i], cap) == np.minimum(table[0], cap)).all()
+
+
+def test_fill_numbers_raise_for_the_first_unfillable_row():
+    # a Steiner triple system on 7 points, with one more triangle: every edge
+    # lies in a triangle, but (4, 5, 0) is a gallery component of its own
+    x = build_complex([(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 0),
+                       (5, 6, 1), (6, 0, 2), (0, 1, 2)])
+    rows = [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 4, 5)]
+    faces = x.facet_indices(np.array(rows))
+    with pytest.raises(UnfillableError) as exc:
+        GalleryGraph(x, 1).fill_numbers(faces)
+    assert str(exc.value) == "no gallery joins (0, 1) and (0, 4)"
+    assert GalleryGraph(x, 1).fill_numbers(faces[:2]).tolist() == [1, 1]
+
+
+def test_fill_tables_widen_past_uint8():
+    # a path of 300 edges: the end vertices are 300 gallery steps apart
+    x = build_complex([(i, i + 1) for i in range(300)])
+    graph = GalleryGraph(x, 0)
+    assert graph.face_tables([0]).dtype == np.uint16
+    ends = x.facet_indices(np.array([[0, 300], [5, 280]]))
+    assert graph.fill_numbers(ends).tolist() == [300, 275]
+    assert fill_number(x, [(0,), (300,)]).exact == 300
+    assert gallery_distance(x, (0,), (300,)) == 300
+    assert gallery_distance(x, (0,), (300,), graph=graph) == 300
 
 
 def test_fill_empty_and_singleton():
