@@ -29,7 +29,7 @@ from .cochains import (
     upper_laplacian,
 )
 from .complexes import DegreeError, NotPureError, SimplicialComplex
-from .gallery import (  # noqa: F401 - perfbench traces fill_number here
+from .gallery import (  # noqa: F401 - kept where perfbench looks up fill_number
     GalleryGraph,
     UnfillableError,
     fill_number,

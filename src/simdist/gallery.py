@@ -91,6 +91,7 @@ class GalleryGraph:
 
     With B the k-face x (k+1)-simplex incidence, the adjacency is B^T B
     minus its diagonal: two distinct (k+1)-simplices share at most one k-face.
+    `face_graph` is B B^T, the k-faces adjacent when one node holds both.
     """
 
     def __init__(self, complex_: SimplicialComplex, k: int):
@@ -116,7 +117,8 @@ class GalleryGraph:
         self._incidence_count, self._face_components, self.components = (
             _incidence_components(complex_, k)
         )
-        self._face_tables: dict[int, np.ndarray] = {}
+        self.face_graph = _face_graph(complex_, k)
+        self._node_faces = complex_.facet_indices(complex_.simplex_rows(k + 1))
 
     @property
     def num_nodes(self) -> int:
@@ -165,13 +167,11 @@ class GalleryGraph:
         maximum, above every real entry.
         """
         faces = np.asarray(faces, dtype=np.intp)
-        face_graph = _face_graph(self.complex, self.k)
-        node_faces = self.complex.facet_indices(self.complex.simplex_rows(self.k + 1))
         tables = np.empty((len(faces), self.num_nodes), dtype=np.uint8)
-        step = max(1, BLOCK_ENTRIES // max(self.num_nodes, face_graph.shape[0]))
+        step = max(1, BLOCK_ENTRIES // max(self.num_nodes, self.face_graph.shape[0]))
         for start in range(0, len(faces), step):
             dist = csgraph.shortest_path(
-                face_graph, unweighted=True, indices=faces[start:start + step]
+                self.face_graph, unweighted=True, indices=faces[start:start + step]
             )
             reached = np.isfinite(dist)
             longest = int(dist[reached].max(initial=0)) + 1
@@ -181,18 +181,11 @@ class GalleryGraph:
                 tables[tables == marker] = np.iinfo(tables.dtype).max
             dist[~reached] = np.iinfo(tables.dtype).max - 1
             dist = dist.astype(tables.dtype)
-            block = dist[:, node_faces[:, 0]]
-            for column in node_faces.T[1:]:
+            block = dist[:, self._node_faces[:, 0]]
+            for column in self._node_faces.T[1:]:
                 np.minimum(block, dist[:, column], out=block)
             tables[start:start + step] = block + 1
         return tables
-
-    def face_table(self, face: int) -> np.ndarray:
-        """The face table of k-face number `face`, cached."""
-        table = self._face_tables.get(face)
-        if table is None:
-            table = self._face_tables[face] = self.face_tables([face])[0]
-        return table
 
     def steiner_tables(self, tables: np.ndarray, caps: np.ndarray):
         """Dreyfus-Wagner tables over the face subsets of a batch of face sets.
@@ -286,34 +279,42 @@ def _graph_at(complex_: SimplicialComplex, face: tuple, graph: GalleryGraph | No
     return graph
 
 
+def _face_distances(
+    complex_: SimplicialComplex, face: tuple, graph: GalleryGraph | None
+) -> np.ndarray:
+    """Face-graph distances from a k-face to every k-face, inf when unreached.
+
+    A gallery of m simplices passes through m + 1 faces, each two
+    consecutive ones in one simplex, so between distinct faces this is the
+    gallery distance. One breadth-first search over `graph`'s face graph,
+    or over a new one when no graph is given.
+    """
+    if graph is None:
+        face_graph = _face_graph(complex_, len(face) - 1)
+    else:
+        face_graph = _graph_at(complex_, face, graph).face_graph
+    return csgraph.shortest_path(
+        face_graph, unweighted=True, indices=complex_.index_of(face)
+    )
+
+
+def _length(dist: float):
+    return INF if dist == INF else int(dist)
+
+
 def gallery_distance(
     complex_: SimplicialComplex, eta0, eta1, *, graph: GalleryGraph | None = None
 ):
-    """Minimal gallery length joining two k-simplices; inf when none exists.
-
-    With `graph`, the face table of `eta0` is read at the star of `eta1`.
-    Without it, the length is the face-graph distance, found by one
-    breadth-first search from `eta0`: a gallery of m simplices passes
-    through m + 1 faces, each two consecutive ones in one simplex.
-    """
+    """Minimal gallery length joining two k-simplices; inf when none exists."""
     s0 = tuple(sorted(eta0))
     s1 = tuple(sorted(eta1))
     if len(s0) != len(s1):
         raise DegreeError("both simplices must have the same dimension")
-    i0 = complex_.index_of(s0)
+    complex_.index_of(s0)  # raises for a missing eta0, also when eta1 is it
     i1 = complex_.index_of(s1)
     if s0 == s1:
         return 0
-    if graph is None:
-        dist = csgraph.shortest_path(
-            _face_graph(complex_, len(s0) - 1), unweighted=True, indices=i0
-        )[i1]
-        return INF if dist == INF else int(dist)
-    graph = _graph_at(complex_, s0, graph)
-    table = graph.face_table(i0)
-    unreached = np.iinfo(table.dtype).max
-    best = int(table[complex_.coface_indices(graph.k, i1)].min(initial=unreached))
-    return INF if best == unreached else best
+    return _length(_face_distances(complex_, s0, graph)[i1])
 
 
 def is_gallery_connected(
@@ -338,11 +339,9 @@ def gallery_distances_from(
     complex_: SimplicialComplex, tau, *, graph: GalleryGraph | None = None
 ) -> dict[tuple, float]:
     """Gallery distances from one k-simplex to every k-simplex."""
-    graph = _graph_at(complex_, tuple(sorted(tau)), graph)
-    return {
-        eta: gallery_distance(complex_, tau, eta, graph=graph)
-        for eta in complex_.simplices(graph.k)
-    }
+    face = tuple(sorted(tau))
+    dists = _face_distances(complex_, face, graph).tolist()
+    return dict(zip(complex_.simplices(len(face) - 1), map(_length, dists)))
 
 
 def gallery_ball_sizes(
