@@ -1,6 +1,7 @@
 """CLI documents on a fixed corpus stay byte-identical.
 
-`tests/golden/` holds three `lmgen` complexes and, for each command below,
+`tests/golden/` holds three `lmgen` complexes, one hand-written complex and,
+for each command below,
 the document the CLI wrote to `--out` (the named file), or the error message
 of a command that exits nonzero (the named `.txt` file). Each command runs
 from inside that directory, so the relative complex path echoed into the
@@ -21,6 +22,8 @@ GOLDEN = Path(__file__).parent / "golden"
 #       components and four edges in no triangle)
 #   lmgen --n 9 --p 0.6 --k 1 --seed 1  -> k1_connected.cplx
 #   lmgen --n 7 --p 0.6 --k 2 --seed 2  -> k2_connected.cplx
+# and labels.cplx is written by hand: labels -3 5 7 10 42, given out of order,
+# with a repeated triangle and an edge listed beside its cofaces.
 CASES = [
     ("k1_split_dist_finite.json",
      ["gallery", "dist", "--complex", "k1_split.cplx", "0,4", "5,7"], 0),
@@ -61,6 +64,25 @@ CASES = [
     ("k2_connected_eval.json",
      ["distortion", "eval", "--complex", "k2_connected.cplx",
       "--embedding", "gaussian:4:2", "--k", "2"], 0),
+    ("k1_connected_verify.json",
+     ["verify", "all", "--complex", "k1_connected.cplx", "--k", "1",
+      "--embedding", "gaussian:3:1"], 0),
+    ("k1_connected_spectrum.json",
+     ["spectrum", "--complex", "k1_connected.cplx", "--k", "1"], 0),
+    ("k1_connected_bound.json",
+     ["distortion", "bound", "--complex", "k1_connected.cplx", "--k", "1"], 0),
+    ("k2_connected_verify.json",
+     ["verify", "all", "--complex", "k2_connected.cplx", "--k", "2",
+      "--embedding", "gaussian:4:2"], 0),
+    ("labels_eval.json",
+     ["distortion", "eval", "--complex", "labels.cplx",
+      "--embedding", "gaussian:3:4", "--k", "1"], 0),
+    ("labels_fill.json",
+     ["gallery", "fill", "--complex", "labels.cplx", "10,-3", "42,7", "5,7"], 0),
+    ("lm_experiment_k1.csv",
+     ["distortion", "lm-experiment", "--n", "9", "--p", "0.6", "--k", "1",
+      "--trials", "3", "--seed", "5", "--embedding", "gaussian:3:1",
+      "--format", "csv"], 0),
     ("concentration_k1.json",
      ["concentration", "--n", "30", "--p", "0.5", "--k", "1", "--eps", "0.5",
       "--trials", "6", "--seed", "7"], 0),
