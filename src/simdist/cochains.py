@@ -8,9 +8,9 @@ integer weight of the complex, which absorbs the (k+1)! orderings exactly.
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -125,14 +125,13 @@ def differential_matrix(complex_: SimplicialComplex, k: int) -> sparse.csr_matri
     cached = complex_._differentials.get(k)
     if cached is not None:
         return cached
-    rows = complex_.simplex_rows(k + 1)
     # The face that omits vertex j carries (-1)^j; faces that omit later
     # vertices come first in canonical order, so reversed columns are sorted.
-    cols = complex_.facet_indices(rows)[:, ::-1]
+    cols = complex_.facet_table(k + 1)[:, ::-1]
     signs = (-1) ** np.arange(k + 1, -1, -1, dtype=np.int64)
     mat = sparse.csr_matrix(
-        (np.tile(signs, len(rows)), cols.ravel(), np.arange(0, cols.size + 1, k + 2)),
-        shape=(len(rows), complex_.simplex_count(k)),
+        (np.tile(signs, len(cols)), cols.ravel(), np.arange(0, cols.size + 1, k + 2)),
+        shape=(len(cols), complex_.simplex_count(k)),
     )
     for arr in (mat.data, mat.indices, mat.indptr):
         arr.flags.writeable = False
@@ -178,7 +177,8 @@ def adjoint_differential(complex_: SimplicialComplex, psi: Cochain) -> Cochain:
 class UpperLaplacian:
     """d_k* d_k, exposed through the symmetric conjugate W^{1/2} . W^{-1/2}.
 
-    The symmetric matrix has the same spectrum as the operator itself.
+    The symmetric matrix has the same spectrum as the operator itself; it is
+    built on first use, since `apply` does not need it.
     """
 
     complex: SimplicialComplex
@@ -186,7 +186,14 @@ class UpperLaplacian:
     boundary: sparse.csr_matrix  # exact integer d_k
     weights_k: np.ndarray
     weights_k1: np.ndarray
-    symmetric: sparse.csr_matrix = field(repr=False)
+
+    @cached_property
+    def symmetric(self) -> sparse.csr_matrix:
+        half = sparse.diags(1.0 / np.sqrt(self.weights_k))
+        mat = self.boundary
+        sym = (half @ mat.T.astype(float) @ sparse.diags(self.weights_k1)
+               @ mat.astype(float) @ half)
+        return sparse.csr_matrix(sym)
 
     @property
     def dim(self) -> int:
@@ -205,12 +212,10 @@ def upper_laplacian(complex_: SimplicialComplex, k: int) -> UpperLaplacian:
         raise NotPureError("Laplacians are defined on pure complexes only")
     if k < 0 or k > complex_.dim - 1:
         raise DegreeError(f"degree {k} outside 0..{complex_.dim - 1}")
-    mat = differential_matrix(complex_, k)
-    w_k = _weights_array(complex_, k)
-    w_k1 = _weights_array(complex_, k + 1)
-    half = sparse.diags(1.0 / np.sqrt(w_k))
-    sym = half @ mat.T.astype(float) @ sparse.diags(w_k1) @ mat.astype(float) @ half
-    return UpperLaplacian(complex_, k, mat, w_k, w_k1, sparse.csr_matrix(sym))
+    return UpperLaplacian(
+        complex_, k, differential_matrix(complex_, k),
+        _weights_array(complex_, k), _weights_array(complex_, k + 1),
+    )
 
 
 @dataclass
@@ -438,7 +443,7 @@ def _coboundary_rank(complex_: SimplicialComplex, k: int) -> int:
     a singleton row of the rest, which starts the peel in `exact_rank`.
     Vertex 0's k-simplices come first in canonical order.
     """
-    through = bisect.bisect_left(complex_.simplices(k), (1,))
+    through = int(np.searchsorted(complex_.simplex_rows(k)[:, 0], 1))
     return exact_rank(differential_matrix(complex_, k)[:, through:])
 
 

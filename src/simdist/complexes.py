@@ -28,6 +28,8 @@ __all__ = [
     "sort_with_sign",
 ]
 
+_INT64 = np.iinfo(np.int64)
+
 
 class ComplexError(ValueError):
     """Base class for simplicial-complex construction and query errors."""
@@ -78,6 +80,18 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return data.view(np.dtype((np.void, 8 * data.shape[1]))).ravel()
 
 
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D integer array in lexicographic order, and
+    where each input row sits among them. Rows are compared whole."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -92,51 +106,94 @@ def _canonical(vertices) -> tuple[int, ...]:
     return simplex
 
 
+def _generating_rows(simplices) -> list[np.ndarray]:
+    """Generating simplices as int64 arrays of sorted rows, one per size."""
+    rows = [_canonical(s) for s in simplices]
+    try:
+        flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64)
+    except OverflowError:
+        label = next(v for v in chain.from_iterable(rows)
+                     if not _INT64.min <= v <= _INT64.max)
+        raise ComplexError(f"vertex label {label} outside the int64 range") from None
+    sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    starts = np.cumsum(sizes) - sizes
+    return [flat[starts[sizes == size, None] + np.arange(size)]
+            for size in np.unique(sizes).tolist()]
+
+
 class SimplicialComplex:
     """Immutable downward-closed complex with dense vertex ids.
 
     All query methods take and return simplices as tuples of dense ids.
-    ``labels[i]`` recovers the original label of vertex id ``i``.
+    ``labels[i]`` recovers the original label of vertex id ``i``. Each level
+    is stored as a row array; the tuple lists and index dicts behind
+    `simplices`, `index_of`, `contains` and `from_labels` are made on first
+    use.
     """
 
-    __slots__ = ("dim", "labels", "_label_to_id", "_simplices", "_rows", "_index",
-                 "_cofaces", "_weights", "_pure", "_differentials",
+    __slots__ = ("dim", "labels", "_label_to_id", "_rows", "_facets", "_tuples",
+                 "_indexes", "_cofaces", "_weights", "_pure", "_differentials",
                  "_gallery_labels")
 
     def __init__(self, generating_simplices, *, allow_empty: bool = False):
-        generating = [_canonical(s) for s in generating_simplices]
-        if not generating and not allow_empty:
+        self._build(_generating_rows(generating_simplices), allow_empty)
+
+    @classmethod
+    def from_rows(cls, *blocks) -> "SimplicialComplex":
+        """The complex generated by 2-D integer arrays, one simplex per row.
+
+        The same complex as the constructor builds from the rows listed block
+        after block, without a Python object per simplex.
+        """
+        rows = [np.sort(np.asarray(block, dtype=np.int64), axis=1) for block in blocks]
+        if any(b.shape[1] == 0 or (b[:, 1:] == b[:, :-1]).any() for b in rows):
+            # the constructor names the first invalid row
+            return cls([row for block in blocks for row in np.asarray(block).tolist()])
+        complex_ = cls.__new__(cls)
+        complex_._build(rows, False)
+        return complex_
+
+    def _build(self, blocks: list[np.ndarray], allow_empty: bool) -> None:
+        """Levels top down from sorted generating rows: level k is the
+        distinct rows among the k-simplices given and the facets of level
+        k+1, and where each of those facets lands is level k+1's facet
+        table."""
+        blocks = [block for block in blocks if len(block)]
+        if not blocks and not allow_empty:
             raise ComplexError("a complex needs at least one simplex")
+        labels = (np.unique(np.concatenate([block.ravel() for block in blocks]))
+                  if blocks else np.zeros(0, dtype=np.int64))
+        self.labels = tuple(labels.tolist())
+        self._label_to_id = None
+        self.dim = max((block.shape[1] for block in blocks), default=0) - 1
+        by_size: list[list] = [[] for _ in range(self.dim + 2)]
+        for block in blocks:
+            by_size[block.shape[1]].append(np.searchsorted(labels, block))
 
-        label_set = sorted({v for s in generating for v in s})
-        self.labels = tuple(label_set)
-        self._label_to_id = {lab: i for i, lab in enumerate(label_set)}
-        generating = [tuple(map(self._label_to_id.__getitem__, s)) for s in generating]
-
-        self.dim = max((len(s) - 1 for s in generating), default=-1)
-        per_dim: list[set] = [set() for _ in range(self.dim + 1)]
-        for s in generating:
-            per_dim[len(s) - 1].add(s)
-        for k in range(self.dim, 0, -1):
-            per_dim[k - 1].update(chain.from_iterable(combinations(s, k) for s in per_dim[k]))
-
-        self._simplices = [sorted(level) for level in per_dim]
-        self._rows = [
-            _read_only(np.array(level, dtype=np.int64).reshape(-1, k + 1))
-            for k, level in enumerate(self._simplices)
-        ]
-        self._index = [
-            {s: i for i, s in enumerate(level)} for level in self._simplices
-        ]
+        self._rows = [None] * (self.dim + 1)
+        # _facets[k], k >= 1: the (n_k, k+1) facet indices of the k-simplices
+        self._facets = [None] * (self.dim + 1)
+        facets = np.zeros((0, self.dim + 1), dtype=np.int64)  # of level k+1
+        for k in range(self.dim, -1, -1):
+            given = by_size[k + 1]
+            level, where = _unique_rows(np.concatenate(given + [facets]))
+            self._rows[k] = _read_only(level)
+            if k < self.dim:
+                placed = where[sum(map(len, given)):]
+                self._facets[k + 1] = _read_only(placed.reshape(-1, k + 2))
+            if k > 0:
+                keep = [[c for c in range(k + 1) if c != j] for j in range(k + 1)]
+                facets = level[:, keep].reshape(-1, k)
+        self._tuples = [None] * (self.dim + 1)
+        self._indexes = [None] * (self.dim + 1)
 
         # cofaces[k] = CSR (indptr, indices): the (k+1)-simplices containing
         # k-simplex i are indices[indptr[i]:indptr[i+1]], in increasing order.
-        # The top level has none. Every facet is in the complex, so the facet
-        # search needs none of the checks of `facet_indices`.
+        # The top level has none.
         self._cofaces = []
         for k in range(self.dim + 1):
-            n_faces = len(self._simplices[k])
-            facets, _ = self._facet_search(self.simplex_rows(k + 1))
+            n_faces = len(self._rows[k])
+            facets = self.facet_table(k + 1).ravel()
             indptr = np.zeros(n_faces + 1, dtype=np.int64)
             np.cumsum(np.bincount(facets, minlength=n_faces), out=indptr[1:])
             indices = np.argsort(facets, kind="stable") // (k + 2)
@@ -154,7 +211,7 @@ class SimplicialComplex:
             np.cumsum(up[indices], out=sums[1:])
             up = sums[indptr[1:]] - sums[indptr[:-1]] + int(k == self.dim)
             self._weights.insert(0, up.tolist())
-        self._pure = all(all(w > 0 for w in level) for level in self._weights)
+        self._pure = all(min(level, default=1) > 0 for level in self._weights)
         # incidence matrices by degree, filled by cochains.differential_matrix
         self._differentials: dict = {}
         # gallery component labels by degree, filled by gallery._incidence_components
@@ -179,7 +236,9 @@ class SimplicialComplex:
             raise DegreeError(f"invalid dimension {k}")
         if k > self.dim:
             return []
-        return self._simplices[k]
+        if self._tuples[k] is None:
+            self._tuples[k] = list(map(tuple, self._rows[k].tolist()))
+        return self._tuples[k]
 
     def simplex_rows(self, k: int) -> np.ndarray:
         """The k-simplices as a read-only (n_k, k+1) int64 array, canonical order."""
@@ -190,22 +249,40 @@ class SimplicialComplex:
         return self._rows[k]
 
     def simplex_count(self, k: int) -> int:
-        return len(self.simplices(k))
+        return 1 if k == -1 else len(self.simplex_rows(k))
 
     def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(level) for level in self._simplices)
+        return tuple(len(rows) for rows in self._rows)
+
+    def _level_index(self, k: int) -> dict:
+        if self._indexes[k] is None:
+            self._indexes[k] = {s: i for i, s in enumerate(self.simplices(k))}
+        return self._indexes[k]
 
     def contains(self, simplex) -> bool:
         s = _canonical(simplex)
         k = len(s) - 1
-        return k <= self.dim and s in self._index[k]
+        return k <= self.dim and s in self._level_index(k)
 
     def index_of(self, simplex) -> int:
         s = _canonical(simplex)
         k = len(s) - 1
-        if k > self.dim or s not in self._index[k]:
+        if k > self.dim or s not in self._level_index(k):
             raise MissingSimplexError(f"simplex {simplex!r} not in complex")
-        return self._index[k][s]
+        return self._level_index(k)[s]
+
+    def facet_table(self, k: int) -> np.ndarray:
+        """Facets of every k-simplex (k >= 1) as a read-only (n_k, k+1) array.
+
+        Entry ``[i, j]`` is the index of the (k-1)-simplex that omits column
+        j of k-simplex i, the table `facet_indices(simplex_rows(k))` gives;
+        it is kept from the build.
+        """
+        if k < 1:
+            raise DegreeError(f"no facets in dimension {k}")
+        if k > self.dim:
+            return np.empty((0, k + 1), dtype=np.int64)
+        return self._facets[k]
 
     def facet_indices(self, rows) -> np.ndarray:
         """Canonical indices of the facets of simplices given as vertex rows.
@@ -224,23 +301,16 @@ class SimplicialComplex:
         if unsorted.any():
             row = rows[unsorted.any(axis=1).argmax()]
             raise InvalidSimplexError(f"row {row.tolist()} is not strictly increasing")
-        pos, faces = self._facet_search(rows)
+        keep = [[c for c in range(width) if c != j] for j in range(width)]
+        faces = rows[:, keep].reshape(-1, width - 1)
         table = self.simplex_rows(width - 2)
+        pos = np.searchsorted(_row_keys(table), _row_keys(faces))
         found = pos < len(table)
         found[found] = (table[pos[found]] == faces[found]).all(axis=1)
         if not found.all():
             face = faces[found.argmin()]
             raise MissingSimplexError(f"simplex {tuple(face.tolist())!r} not in complex")
         return pos.reshape(rows.shape)
-
-    def _facet_search(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The facets of (M, w) rows, w per row in column order, and where each
-        sorts among the (w-2)-simplices (present iff equal to the one there)."""
-        width = rows.shape[1]
-        keep = [[c for c in range(width) if c != j] for j in range(width)]
-        faces = rows[:, keep].reshape(-1, width - 1)
-        table = _row_keys(self.simplex_rows(width - 2))
-        return np.searchsorted(table, _row_keys(faces)), faces
 
     def coface_csr(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Cofaces of every k-simplex as a read-only CSR pair (indptr, indices).
@@ -280,6 +350,8 @@ class SimplicialComplex:
         return tuple(self.labels[v] for v in simplex)
 
     def from_labels(self, simplex) -> tuple[int, ...]:
+        if self._label_to_id is None:
+            self._label_to_id = {lab: i for i, lab in enumerate(self.labels)}
         try:
             return _canonical(self._label_to_id[v] for v in simplex)
         except KeyError as exc:
@@ -298,20 +370,22 @@ class SimplicialComplex:
         tau_set = set(tau)
         members = []
         for k in range(self.dim - len(tau) + 1):
-            for s in self._simplices[k]:
+            for s in self.simplices(k):
                 if tau_set.isdisjoint(s):
                     joint = tuple(sorted(s + tau))
                     kj = len(joint) - 1
-                    if kj <= self.dim and joint in self._index[kj]:
+                    if kj <= self.dim and joint in self._level_index(kj):
                         members.append(self.to_labels(s))
         return SimplicialComplex(members, allow_empty=True)
 
+    def _maximal_rows(self) -> list[np.ndarray]:
+        """Rows of the simplices with no coface, level by level."""
+        return [rows[indptr[1:] == indptr[:-1]]
+                for rows, (indptr, _) in zip(self._rows, self._cofaces)]
+
     def maximal_simplices(self) -> list[tuple[int, ...]]:
         """Simplices with no coface, in canonical order (dense ids)."""
-        out = []
-        for (indptr, _), level in zip(self._cofaces, self._simplices):
-            out += [level[i] for i in np.flatnonzero(indptr[1:] == indptr[:-1])]
-        return out
+        return [tuple(row) for rows in self._maximal_rows() for row in rows.tolist()]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimplicialComplex(dim={self.dim}, f={self.f_vector()})"
@@ -362,22 +436,21 @@ def load_complex(path) -> SimplicialComplex:
     return build_complex(rows)
 
 
+def _maximal_labels(complex_: SimplicialComplex) -> list[list[int]]:
+    labels = np.array(complex_.labels, dtype=np.int64)
+    return [row for rows in complex_._maximal_rows() for row in labels[rows].tolist()]
+
+
 def save_complex_text(complex_: SimplicialComplex, path) -> None:
-    lines = [
-        " ".join(str(v) for v in complex_.to_labels(s))
-        for s in complex_.maximal_simplices()
-    ]
+    lines = [" ".join(map(str, row)) for row in _maximal_labels(complex_)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def save_complex_json(complex_: SimplicialComplex, path) -> None:
-    rows = [
-        [int(v) for v in complex_.to_labels(s)]
-        for s in complex_.maximal_simplices()
-    ]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"maximal": rows}, fh, separators=(",", ":"), sort_keys=True)
+        json.dump({"maximal": _maximal_labels(complex_)}, fh, separators=(",", ":"),
+                  sort_keys=True)
         fh.write("\n")
 
 

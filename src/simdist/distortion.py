@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .cochains import (
     spectrum,
     upper_laplacian,
 )
-from .complexes import DegreeError, NotPureError, SimplicialComplex
+from .complexes import DegreeError, NotPureError, SimplicialComplex, _row_keys
 from .gallery import (  # noqa: F401 - kept where perfbench looks up fill_number
     GalleryGraph,
     UnfillableError,
@@ -174,20 +175,15 @@ class BoundaryFamily:
     def size(self) -> int:
         return len(self.vertex_sets)
 
-    @property
+    @cached_property
     def l_exact(self) -> Fraction:
-        """min over k-simplices belonging to some member of weight/count."""
+        """min over k-simplices belonging to some member of weight/count,
+        taken over the distinct (weight, count) pairs."""
         weights = self.complex.weights_of_dim(self.k)
-        best = None
-        for i, count in enumerate(self.counts):
-            if count == 0:
-                continue
-            ratio = Fraction(weights[i], int(count))
-            if best is None or ratio < best:
-                best = ratio
-        if best is None:
+        pairs = {(w, c) for w, c in zip(weights, self.counts.tolist()) if c}
+        if not pairs:
             raise ValueError("no k-simplex belongs to any member")
-        return best
+        return min(Fraction(w, c) for w, c in pairs)
 
     @property
     def l(self) -> float:
@@ -307,7 +303,8 @@ def projection_volume_inequality(
     l_value = None
     if hyp.pure and k <= complex_.dim - 1 and complex_.simplex_count(k + 1) > 0:
         volumes = simplex_boundary_projection_volumes(
-            complex_.simplex_rows(k + 1), embedding.points
+            complex_.simplex_rows(k + 1), embedding.points,
+            faces=(complex_.simplex_rows(k), complex_.facet_table(k + 1)),
         )
         weights = np.asarray(complex_.weights_of_dim(k + 1), dtype=float)
         lhs = float(np.dot(weights, volumes**2))
@@ -315,7 +312,8 @@ def projection_volume_inequality(
         l_value = family.l
         coefficient = l_value * hyp.lambda_min_nonzero / family.s
         member_volumes = simplex_boundary_projection_volumes(
-            family.vertex_sets, embedding.points
+            family.vertex_sets, embedding.points,
+            faces=(complex_.simplex_rows(k), family.face_indices),
         )
         rhs = coefficient * float(np.sum(member_volumes**2))
         margin = lhs - rhs
@@ -534,13 +532,17 @@ def evaluate_distortion(
         raise GeometryError("embedding does not cover the vertex set")
     hyp = hypotheses or compute_hypotheses(complex_, k, tolerance)
 
-    present = set(map(tuple, family.vertex_sets.tolist()))
-    missing = [s not in present for s in complex_.simplices(k + 1)]
-    rows = np.concatenate(
-        [family.vertex_sets, complex_.simplex_rows(k + 1)[np.array(missing, dtype=bool)]]
+    tops = complex_.simplex_rows(k + 1)
+    present = np.sort(_row_keys(family.vertex_sets))
+    keys = _row_keys(tops)
+    at = np.minimum(np.searchsorted(present, keys), len(present) - 1)
+    missing = present[at] != keys
+    rows = np.concatenate([family.vertex_sets, tops[missing]])
+    faces = np.concatenate([family.face_indices, complex_.facet_table(k + 1)[missing]])
+    volumes = simplex_boundary_projection_volumes(
+        rows, embedding.points, faces=(complex_.simplex_rows(k), faces)
     )
-    volumes = simplex_boundary_projection_volumes(rows, embedding.points)
-    fills = GalleryGraph(complex_, k).fill_numbers(complex_.facet_indices(rows))
+    fills = GalleryGraph(complex_, k).fill_numbers(faces)
     positive = volumes > 0.0
     forward = float((volumes / fills).max(initial=0.0))
     backward = float((fills[positive] / volumes[positive]).max(initial=0.0))
@@ -878,12 +880,11 @@ def verify_instance(
 
     stokes_worst = None
     if embedding is not None and k <= complex_.dim - 1:
-        tops = complex_.simplices(k + 1)
-        sample = tops if len(tops) <= 20 else [
-            tops[i] for i in rng.choice(len(tops), size=20, replace=False)
-        ]
+        tops = complex_.simplex_rows(k + 1)
+        if len(tops) > 20:
+            tops = tops[rng.choice(len(tops), size=20, replace=False)]
         stokes_worst = 0.0
-        for sigma in sample:
+        for sigma in map(tuple, tops.tolist()):
             boundary = simplex_boundary_oriented(sigma)
             residual = stokes_check(boundary, [(sigma, 1)], embedding)
             stokes_worst = max(stokes_worst, residual)

@@ -99,7 +99,7 @@ class GalleryGraph:
             raise DegreeError(f"degree {k} outside 0..{complex_.dim}")
         self.complex = complex_
         self.k = k
-        self.nodes = complex_.simplices(k + 1)
+        self.num_nodes = complex_.simplex_count(k + 1)
         indptr, indices = complex_.coface_csr(k)
         incidence = sparse.csr_matrix(
             (np.ones(len(indices), dtype=np.int32), indices, indptr),
@@ -118,11 +118,12 @@ class GalleryGraph:
             _incidence_components(complex_, k)
         )
         self.face_graph = _face_graph(complex_, k)
-        self._node_faces = complex_.facet_indices(complex_.simplex_rows(k + 1))
+        self._node_faces = complex_.facet_table(k + 1)
 
     @property
-    def num_nodes(self) -> int:
-        return len(self.nodes)
+    def nodes(self) -> list[tuple[int, ...]]:
+        """The (k+1)-simplices as tuples, node i first."""
+        return self.complex.simplices(self.k + 1)
 
     def _neighbours(self, nodes: np.ndarray) -> np.ndarray:
         """Adjacency rows of a nonempty node array, concatenated."""
@@ -542,8 +543,8 @@ def _link_components(
     """
     n_k = complex_.simplex_count(k)
     keys = owner * n_k + indices  # increasing: rows by tau, sorted within
-    rho = complex_.facet_indices(complex_.simplex_rows(k + 1))
-    sigma = complex_.facet_indices(complex_.simplex_rows(k))
+    rho = complex_.facet_table(k + 1)
+    sigma = complex_.facet_table(k)
     # tau is rho without vertices a < b; in the face of rho without a,
     # vertex b sits at column b - 1
     a, b = np.triu_indices(k + 2, 1)

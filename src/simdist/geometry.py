@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .complexes import InvalidSimplexError, sort_with_sign
+from .complexes import InvalidSimplexError, _unique_rows, sort_with_sign
 
 __all__ = [
     "BoundaryMismatchError",
@@ -309,13 +309,20 @@ def enclosed_projection_volume(boundary: OrientedBoundary, embedding: Embedding)
     return math.sqrt(total)
 
 
-def simplex_boundary_projection_volumes(vertex_sets, points) -> np.ndarray:
+def simplex_boundary_projection_volumes(vertex_sets, points, faces=None) -> np.ndarray:
     """Vectorized enclosed projection volumes of simplex boundaries.
 
     ``vertex_sets`` is an (M, k+2) integer array of sorted vertex ids whose
     rows denote boundaries with the standard alternating orientation;
-    ``points`` is the (n_vertices, m) coordinate array. Matches the scalar
-    moment path to rounding.
+    ``points`` is the (n_vertices, m) coordinate array. ``faces`` is an
+    optional pair (face rows, face indices): an (F, k+1) array of k-faces
+    and the (M, k+2) index of each member's faces in it, column j the face
+    without vertex j, such as a complex's k-simplex rows and
+    `facet_indices` of the members. Without it the distinct faces of the
+    members are used. By Stokes a member's volume is a signed sum of its
+    faces' moments, and each face's mean point and coordinate-plane
+    determinants are computed once, however many members it bounds.
+    Matches the scalar moment path to rounding.
     """
     vsets = np.asarray(vertex_sets, dtype=np.int64)
     if vsets.ndim != 2:
@@ -327,23 +334,27 @@ def simplex_boundary_projection_volumes(vertex_sets, points) -> np.ndarray:
     if n_members == 0:
         return np.zeros(0)
 
+    if faces is None:
+        keep = [[j for j in range(width) if j != i] for i in range(width)]
+        face_rows, where = _unique_rows(vsets[:, keep].reshape(-1, width - 1))
+        face_indices = where.reshape(n_members, width)
+    else:
+        face_rows, face_indices = faces
     signs = np.array([1 if i % 2 == 0 else -1 for i in range(width)], dtype=float)
-    # face_vertices[m_i, i, :] = member m_i with vertex i dropped
-    keep = [[j for j in range(width) if j != i] for i in range(width)]
-    face_vertices = np.stack([vsets[:, cols] for cols in keep], axis=1)
-    face_pts = pts[face_vertices]  # (M, k+2, k+1, m)
-    means = face_pts.mean(axis=2)  # (M, k+2, m)
+    face_pts = pts[face_rows]  # (F, k+1, m)
+    means = face_pts.mean(axis=1)  # (F, m)
     if k > 0:
-        edges = face_pts[:, :, 1:, :] - face_pts[:, :, :1, :]  # (M, k+2, k, m)
+        edges = face_pts[:, 1:, :] - face_pts[:, :1, :]  # (F, k, m)
     fact = float(math.factorial(k))
 
     total = np.zeros(n_members)
     for idx in multi_indices(m, k + 1):
         if k == 0:
-            dets = np.ones((n_members, width))
+            dets = np.ones(len(face_pts))
         else:
-            dets = np.linalg.det(edges[:, :, :, list(idx[1:])])
-        contrib = (signs * means[:, :, idx[0]] * dets).sum(axis=1) / fact
+            dets = np.linalg.det(edges[:, :, list(idx[1:])])
+        terms = signs * means[face_indices, idx[0]] * dets[face_indices]
+        contrib = terms.sum(axis=1) / fact
         total += contrib * contrib
     return np.sqrt(total)
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
 
 import numpy as np
 
-from .complexes import SimplicialComplex, build_complex
+from .complexes import SimplicialComplex
 
 __all__ = [
     "ConcentrationReport",
@@ -74,10 +73,18 @@ def _comb_table(n: int, max_size: int) -> np.ndarray:
 
 
 def _all_subsets(n: int, size: int) -> np.ndarray:
-    flat = np.fromiter(
-        chain.from_iterable(combinations(range(n), size)), dtype=np.int64
-    )
-    return flat.reshape(-1, size)
+    """The size-subsets of range(n), size >= 1, as sorted rows in the order
+    of `itertools.combinations`. The subsets one wider with least vertex a
+    are a joined to each row whose least vertex exceeds a, a tail of the
+    rows; the blocks for a = 0, 1, ... follow one another."""
+    rows = np.arange(n, dtype=np.int64)[:, None]
+    for _ in range(size - 1):
+        starts = np.searchsorted(rows[:, 0], np.arange(1, n + 1))
+        counts = len(rows) - starts
+        shift = np.repeat(np.cumsum(counts) - counts - starts, counts)
+        tails = rows[np.arange(len(shift)) - shift]
+        rows = np.column_stack([np.repeat(np.arange(n), counts), tails])
+    return rows
 
 
 def _subset_ranks(subsets: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -107,9 +114,8 @@ def top_simplex_sample(params: LmParams) -> np.ndarray:
 
 def linial_meshulam(params: LmParams) -> SimplicialComplex:
     """Sample the model as a full complex (complete k-skeleton plus the tops)."""
-    skeleton = combinations(range(params.num_vertices), params.k + 1)
-    tops = list(map(tuple, top_simplex_sample(params).tolist()))
-    return build_complex(list(skeleton) + tops)
+    skeleton = _all_subsets(params.num_vertices, params.k + 1)
+    return SimplicialComplex.from_rows(skeleton, top_simplex_sample(params))
 
 
 @lru_cache(maxsize=8)

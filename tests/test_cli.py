@@ -1,10 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from simdist.cli import main
-from simdist.complexes import build_complex, save_complex_text
+from simdist.complexes import SimplicialComplex, build_complex, save_complex_text
 from simdist.distortion import vertex_set_family
 from simdist.gallery import UnfillableError, fill_number
 
@@ -177,6 +178,36 @@ def test_input_errors_exit_two(runner, tmp_path):
         main, ["spectrum", "--complex", str(path), "--k", "7"]
     )
     assert out_of_range.exit_code == 2
+
+    huge = tmp_path / "huge.cplx"
+    huge.write_text("0 1 2\n1 2 9223372036854775808\n")
+    result = runner.invoke(main, ["spectrum", "--complex", str(huge), "--k", "1"])
+    assert result.exit_code == 2
+    assert "outside the int64 range" in result.output
+
+
+def test_verify_and_eval_build_no_simplex_tuples(runner, monkeypatch):
+    """The verify and eval paths read row arrays only: neither makes the
+    tuple list of any level, nor the index dicts built from it."""
+
+    def refuse(self, k):
+        raise AssertionError(f"tuple list of level {k} built")
+
+    monkeypatch.setattr(SimplicialComplex, "simplices", refuse)
+    golden = Path(__file__).parent / "golden"
+    for args in (
+        ["verify", "all", "--complex", str(golden / "k1_connected.cplx"),
+         "--k", "1", "--embedding", "gaussian:3:1"],
+        ["verify", "all", "--complex", str(golden / "k2_connected.cplx"),
+         "--k", "2", "--embedding", "gaussian:4:2"],
+        ["distortion", "eval", "--complex", str(golden / "labels.cplx"),
+         "--embedding", "gaussian:3:4", "--k", "1"],
+        ["distortion", "eval", "--complex", str(golden / "k2_connected.cplx"),
+         "--embedding", "gaussian:4:2", "--k", "2"],
+    ):
+        result = runner.invoke(main, args)
+        assert result.exception is None, result.exception
+        assert result.exit_code == 0
 
 
 def test_distortion_eval_names_first_unfillable_member(runner, tmp_path):

@@ -1,6 +1,7 @@
 import math
-from itertools import combinations
+from itertools import chain, combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,12 +11,14 @@ from simdist.complexes import (
     InvalidSimplexError,
     MissingSimplexError,
     NotPureError,
+    SimplicialComplex,
     build_complex,
     complete_complex,
     load_complex,
     save_complex_json,
     save_complex_text,
 )
+from simdist.random_complexes import LmParams, linial_meshulam, top_simplex_sample
 
 
 def test_single_triangle_closure():
@@ -44,6 +47,106 @@ def test_build_rejects_bad_input():
         build_complex([])
     with pytest.raises(InvalidSimplexError):
         build_complex([(0, 0, 1)])
+
+
+def test_build_error_texts():
+    cases = [
+        ([(0, 1), ()], "empty simplex"),
+        ([(0, 1), [3, 1, 3]], "repeated vertex in simplex [3, 1, 3]"),
+        ([(5, 2, 5), (1, 1)], "repeated vertex in simplex (5, 2, 5)"),
+        # the first invalid simplex is reported, whatever comes after it
+        ([(0, 1), (), (2, 2)], "empty simplex"),
+        ([(2, 2), (0, "x")], "repeated vertex in simplex (2, 2)"),
+        ([(0, 2**63), (2, 2)], "repeated vertex in simplex (2, 2)"),
+        ([(0, 2**63)], "vertex label 9223372036854775808 outside the int64 range"),
+        ([(-(2**63) - 1, 4)], "vertex label -9223372036854775809 outside the int64 range"),
+    ]
+    for simplices, message in cases:
+        with pytest.raises(ComplexError) as info:
+            build_complex(simplices)
+        assert str(info.value) == message
+    with pytest.raises(ValueError, match="invalid literal"):
+        build_complex([(0, 1), (0, "x"), (2, 2)])
+    assert build_complex([(2**63 - 1, -(2**63))]).labels == (-(2**63), 2**63 - 1)
+    with pytest.raises(InvalidSimplexError, match=r"repeated vertex in simplex \[4, 4, 5\]"):
+        SimplicialComplex.from_rows(np.array([[0, 1], [2, 3]]), np.array([[4, 4, 5]]))
+
+
+def _closure_oracle(generating):
+    """The set-based build the array build replaced: canonical tuples,
+    dense relabeling, and per-level sets closed downward one level at a
+    time. Returns the labels, the sorted levels, the facet tables, the
+    coface lists and the weights by the coface recursion."""
+    generating = [tuple(sorted(map(int, s))) for s in generating]
+    labels = sorted({v for s in generating for v in s})
+    ids = {lab: i for i, lab in enumerate(labels)}
+    generating = [tuple(ids[v] for v in s) for s in generating]
+    dim = max(len(s) for s in generating) - 1
+    per_dim = [set() for _ in range(dim + 1)]
+    for s in generating:
+        per_dim[len(s) - 1].add(s)
+    for k in range(dim, 0, -1):
+        per_dim[k - 1].update(chain.from_iterable(combinations(s, k) for s in per_dim[k]))
+    levels = [sorted(level) for level in per_dim]
+    index = [{s: i for i, s in enumerate(level)} for level in levels]
+    facets = [None] + [
+        [[index[k - 1][s[:j] + s[j + 1:]] for j in range(k + 1)] for s in levels[k]]
+        for k in range(1, dim + 1)
+    ]
+    cofaces = [[[] for _ in level] for level in levels]
+    for k in range(1, dim + 1):
+        for i, row in enumerate(facets[k]):
+            for face in row:
+                cofaces[k - 1][face].append(i)
+    weights = [None] * (dim + 1)
+    weights[dim] = [1] * len(levels[dim])
+    for k in range(dim - 1, -1, -1):
+        weights[k] = [sum(weights[k + 1][c] for c in up) for up in cofaces[k]]
+    return tuple(labels), levels, facets, cofaces, weights
+
+
+def _assert_matches_oracle(x, generating):
+    labels, levels, facets, cofaces, weights = _closure_oracle(generating)
+    assert x.labels == labels
+    assert x.dim == len(levels) - 1
+    assert x.f_vector() == tuple(map(len, levels))
+    for k, level in enumerate(levels):
+        assert x.simplex_rows(k).tolist() == [list(s) for s in level]
+        assert x.simplices(k) == level
+        if k:
+            assert x.facet_table(k).tolist() == facets[k]
+        indptr, indices = x.coface_csr(k)
+        assert [indices[a:b].tolist() for a, b in zip(indptr, indptr[1:])] == cofaces[k]
+    assert x.is_pure == all(w > 0 for level in weights for w in level)
+    assert x._weights == weights
+    if x.is_pure:
+        assert [x.weights_of_dim(k) for k in range(x.dim + 1)] == weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(
+    st.lists(st.sampled_from([-(2**62), -7, -3, 0, 2, 5, 9, 10, 41, 2**40]),
+             min_size=1, max_size=5, unique=True),
+    min_size=1, max_size=14,
+))
+def test_build_matches_set_closure_oracle(simplices):
+    """Duplicates, faces listed beside their cofaces, mixed sizes, non-pure
+    inputs and arbitrary labels, in any order."""
+    simplices = simplices + simplices[: len(simplices) // 3]  # some twice
+    _assert_matches_oracle(build_complex(simplices), simplices)
+    blocks = {}
+    for s in simplices:
+        blocks.setdefault(len(s), []).append(s)
+    from_rows = SimplicialComplex.from_rows(*map(np.array, blocks.values()))
+    _assert_matches_oracle(from_rows, simplices)
+
+
+def test_lm_build_matches_set_closure_oracle():
+    for n, p, k, seed in [(9, 0.4, 1, 3), (7, 0.5, 2, 1), (6, 0.0, 1, 2)]:
+        x = linial_meshulam(LmParams(n, p, k, seed))
+        generating = list(combinations(range(n), k + 1))
+        generating += list(map(tuple, top_simplex_sample(LmParams(n, p, k, seed)).tolist()))
+        _assert_matches_oracle(x, generating)
 
 
 def test_redundant_entries_absorbed():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simdist.complexes import InvalidSimplexError
+from simdist.complexes import InvalidSimplexError, complete_complex
 from simdist.geometry import (
     BoundaryMismatchError,
     Embedding,
@@ -213,6 +213,53 @@ def test_batch_matches_scalar():
                 simplex_boundary_oriented(tuple(row)), Embedding(pts)
             )
             assert value == pytest.approx(scalar, abs=1e-12 * (1 + scalar))
+
+
+def _per_member_volumes(vertex_sets, points):
+    """The volume kernel as it was before faces were shared: every member
+    recomputes the means and determinants of its own faces."""
+    vsets = np.asarray(vertex_sets, dtype=np.int64)
+    n_members, width = vsets.shape
+    k = width - 2
+    pts = np.asarray(points, dtype=float)
+    m = pts.shape[1]
+    signs = np.array([1 if i % 2 == 0 else -1 for i in range(width)], dtype=float)
+    keep = [[j for j in range(width) if j != i] for i in range(width)]
+    face_vertices = np.stack([vsets[:, cols] for cols in keep], axis=1)
+    face_pts = pts[face_vertices]  # (M, k+2, k+1, m)
+    means = face_pts.mean(axis=2)  # (M, k+2, m)
+    if k > 0:
+        edges = face_pts[:, :, 1:, :] - face_pts[:, :, :1, :]  # (M, k+2, k, m)
+    fact = float(math.factorial(k))
+    total = np.zeros(n_members)
+    for idx in multi_indices(m, k + 1):
+        if k == 0:
+            dets = np.ones((n_members, width))
+        else:
+            dets = np.linalg.det(edges[:, :, :, list(idx[1:])])
+        contrib = (signs * means[:, :, idx[0]] * dets).sum(axis=1) / fact
+        total += contrib * contrib
+    return np.sqrt(total)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_shared_face_kernel_is_bitwise_per_member_kernel(k):
+    """Same operations on the same operands: the bits agree, with faces
+    shared from a complex's rows or found among the members."""
+    rng = _rng(40 + k)
+    for n in sorted({k + 2, 7, 12}):
+        x = complete_complex(n, k + 1)
+        members = x.simplex_rows(k + 1)
+        faces = (x.simplex_rows(k), x.facet_table(k + 1))
+        for m in sorted({k + 1, 4, 6}):
+            for scale in (1e-3, 1.0, 1e3):
+                pts = scale * rng.standard_normal((n, m))
+                expected = _per_member_volumes(members, pts).tobytes()
+                shared = simplex_boundary_projection_volumes(members, pts, faces=faces)
+                assert shared.tobytes() == expected
+                subset = members[rng.permutation(len(members))[: max(1, len(members) // 3)]]
+                found = simplex_boundary_projection_volumes(subset, pts)
+                assert found.tobytes() == _per_member_volumes(subset, pts).tobytes()
 
 
 # -- simplex volumes ---------------------------------------------------------------

@@ -1,9 +1,9 @@
 """CLI documents on a fixed corpus stay byte-identical.
 
 `tests/golden/` holds three `lmgen` complexes, one hand-written complex and,
-for each command below,
-the document the CLI wrote to `--out` (the named file), or the error message
-of a command that exits nonzero (the named `.txt` file). Each command runs
+for each command below, the document the CLI wrote to `--out` (the named
+file), or the error message of a command that exits nonzero (the named
+`.txt` file). Each command runs
 from inside that directory, so the relative complex path echoed into the
 document's config matches.
 """

@@ -7,6 +7,7 @@ import pytest
 
 from simdist.random_complexes import (
     LmParams,
+    _all_subsets,
     _colex_facets,
     colex_rank,
     concentration_report,
@@ -29,6 +30,14 @@ def test_colex_rank_enumerates_all_subsets():
     n, size = 7, 3
     ranks = sorted(colex_rank(s) for s in combinations(range(n), size))
     assert ranks == list(range(math.comb(n, size)))
+
+
+def test_all_subsets_in_combinations_order():
+    for n in range(8):
+        for size in range(1, 6):
+            expected = np.array(list(combinations(range(n), size)), dtype=np.int64)
+            assert _all_subsets(n, size).tolist() == expected.reshape(-1, size).tolist()
+    assert _all_subsets(5, 3).shape == (10, 3) and _all_subsets(2, 3).shape == (0, 3)
 
 
 def test_p_one_gives_complete_complex():
