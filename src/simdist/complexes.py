@@ -28,8 +28,6 @@ __all__ = [
     "sort_with_sign",
 ]
 
-_INT64 = np.iinfo(np.int64)
-
 
 class ComplexError(ValueError):
     """Base class for simplicial-complex construction and query errors."""
@@ -112,8 +110,9 @@ def _generating_rows(simplices) -> list[np.ndarray]:
     try:
         flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64)
     except OverflowError:
+        int64 = np.iinfo(np.int64)
         label = next(v for v in chain.from_iterable(rows)
-                     if not _INT64.min <= v <= _INT64.max)
+                     if not int64.min <= v <= int64.max)
         raise ComplexError(f"vertex label {label} outside the int64 range") from None
     sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     starts = np.cumsum(sizes) - sizes
