@@ -9,6 +9,8 @@ and generation can be split across subset ranges.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -146,24 +148,37 @@ def _colex_facets(n: int, size: int) -> np.ndarray:
     return table
 
 
+# Floor on the uniforms drawn per chunk. A chunk is also never shorter than
+# the C(N, k+1) faces, so the zero-fill of each bincount's minlength stays
+# within the chunk's own draw (a fixed 2**16 made it most of the time at N=600).
+_DRAW_CHUNK = 1 << 16
+
+
 def skeleton_statistics(params: LmParams) -> tuple[int, int, int]:
     """(top simplex count, max k-face degree, min k-face degree) without
     materializing the complex; degrees run over all C(N, k+1) k-subsets.
 
     The uniform at position r decides the subset of colex rank r, so the
     included subsets are the positions of the draws below p, and the degrees
-    are bincounts of their facet ranks.
+    are bincounts of their facet ranks. The draws are taken in chunks from
+    one generator, which yields the same stream as one long draw, so memory
+    beside the cached facet table is O(max(_DRAW_CHUNK, C(N, k+1))).
     """
     n, size = params.num_vertices, params.k + 2
+    total, n_faces = math.comb(n, size), math.comb(n, size - 1)
+    facets = _colex_facets(n, size)
     rng = np.random.Generator(np.random.Philox(key=params.seed))
-    tops = np.flatnonzero(rng.random(math.comb(n, size)) < params.p)
-    if len(tops) == 0:
-        return 0, 0, 0
-    n_faces = math.comb(n, size - 1)
-    degrees = sum(
-        np.bincount(row[tops], minlength=n_faces) for row in _colex_facets(n, size)
-    )
-    return len(tops), int(degrees.max()), int(degrees.min())
+    buf = np.empty(min(total, max(_DRAW_CHUNK, n_faces)))
+    degrees = np.zeros(n_faces, dtype=np.int64)
+    count = 0
+    for start in range(0, total, len(buf)):
+        draws = rng.random(out=buf[:total - start])
+        tops = np.flatnonzero(draws < params.p)
+        tops += start
+        count += len(tops)
+        for row in facets:
+            degrees += np.bincount(row.take(tops), minlength=n_faces)
+    return count, int(degrees.max()), int(degrees.min())
 
 
 @dataclass
@@ -238,11 +253,22 @@ def concentration_report(
     expected = p * math.comb(n, k + 2)
     degree_mean = p * (n - k - 1)
 
+    last_seed = params.seed + trials - 1
+    if last_seed >= 2**64:
+        raise ValueError(f"seed of the last trial, {last_seed}, must fit in 64 bits")
+    # Build the shared facet table before the workers read it: lru_cache
+    # would let two threads build it at once.
+    _colex_facets(n, k + 2)
+
+    trial_params = [LmParams(n, p, k, params.seed + t) for t in range(trials)]
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    with ThreadPoolExecutor(min(trials, cpus)) as pool:
+        statistics = list(pool.map(skeleton_statistics, trial_params))
+
     counts = []
     count_hits = degree_hits = min_degree_hits = purity_hits = 0
-    for trial in range(trials):
-        trial_params = LmParams(n, p, k, params.seed + trial)
-        top_count, max_degree, min_degree = skeleton_statistics(trial_params)
+    for top_count, max_degree, min_degree in statistics:
         counts.append(top_count)
         count_hits += top_count <= expected * (1 + epsilon)
         degree_hits += max_degree <= degree_mean * (1 + epsilon)

@@ -162,6 +162,16 @@ def test_concentration_json(runner):
     assert payload["result"]["trials"] == 5
 
 
+def test_concentration_last_trial_seed_out_of_range(runner):
+    result = runner.invoke(
+        main,
+        ["concentration", "--n", "10", "--p", "0.5", "--k", "1", "--eps", "0.5",
+         "--trials", "2", "--seed", str(2**64 - 1)],
+    )
+    assert result.exit_code == 2
+    assert f"seed of the last trial, {2**64}, must fit in 64 bits" in result.output
+
+
 def test_input_errors_exit_two(runner, tmp_path):
     missing = runner.invoke(
         main, ["spectrum", "--complex", str(tmp_path / "nope.cplx"), "--k", "1"]

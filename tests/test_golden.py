@@ -117,8 +117,8 @@ def in_corpus(monkeypatch):
     monkeypatch.chdir(GOLDEN)
 
 
-def test_cli_documents_match_corpus(in_corpus, tmp_path):
-    for name, args, exit_code in CASES:
+def check_cases(cases, tmp_path):
+    for name, args, exit_code in cases:
         out = tmp_path / name
         result = run_case(args, out)
         assert result.exit_code == exit_code, name
@@ -127,3 +127,17 @@ def test_cli_documents_match_corpus(in_corpus, tmp_path):
         else:  # no document; the error message goes to stderr
             assert not out.exists(), name
             assert result.output == (GOLDEN / name).read_text(), name
+
+
+def is_concentration(case):
+    return case[1][0] == "concentration"
+
+
+def test_cli_documents_match_corpus(in_corpus, tmp_path):
+    check_cases([case for case in CASES if not is_concentration(case)], tmp_path)
+
+
+def test_concentration_documents_match_corpus(in_corpus, tmp_path):
+    """The concentration documents on their own, so that `-k concentration`
+    can check them under any CPU affinity, one worker thread included."""
+    check_cases([case for case in CASES if is_concentration(case)], tmp_path)

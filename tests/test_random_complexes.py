@@ -1,10 +1,12 @@
 import math
+import os
 from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from simdist import random_complexes
 from simdist.random_complexes import (
     LmParams,
     _all_subsets,
@@ -134,15 +136,42 @@ def brute_force_statistics(params):
     return len(rows), max(counts), min(counts)
 
 
+ORACLE_GRID = [
+    LmParams(n, p, k, seed)
+    for k in range(4)
+    for n in range(k + 2, k + 8)
+    for p in (0.0, 0.35, 1.0)
+    for seed in (0, 1, 17)
+]
+
+
 def test_statistics_match_sample_oracle():
-    for k in range(4):
-        for n in range(k + 2, k + 8):
-            for p in (0.0, 0.35, 1.0):
-                for seed in (0, 1, 17):
-                    params = LmParams(n, p, k, seed)
-                    assert skeleton_statistics(params) == brute_force_statistics(
-                        params
-                    ), params
+    for params in ORACLE_GRID:
+        assert skeleton_statistics(params) == brute_force_statistics(params), params
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_statistics_across_draw_chunks(monkeypatch, chunk):
+    # A small floor leaves chunks C(N, k+1) long, so the grid's draws end on
+    # partial chunks and cross chunks with no draw below p.
+    monkeypatch.setattr(random_complexes, "_DRAW_CHUNK", chunk)
+    for params in ORACLE_GRID:
+        assert skeleton_statistics(params) == brute_force_statistics(params), params
+
+
+def test_statistics_match_one_long_draw():
+    # C(80, 3) = 82,160 draws: more than one default chunk.
+    params = LmParams(80, 0.3, 1, seed=5)
+    total = math.comb(80, 3)
+    assert total > random_complexes._DRAW_CHUNK
+    rng = np.random.Generator(np.random.Philox(key=params.seed))
+    tops = np.flatnonzero(rng.random(total) < params.p)
+    degrees = sum(
+        np.bincount(row[tops], minlength=math.comb(80, 2))
+        for row in _colex_facets(80, 3)
+    )
+    expected = (len(tops), int(degrees.max()), int(degrees.min()))
+    assert skeleton_statistics(params) == expected
 
 
 def test_purity_iff_min_degree_positive():
@@ -174,6 +203,41 @@ def test_concentration_p_one_deterministic():
     assert report.count_event_frequency == 1.0
     assert report.counts == [math.comb(10, 3)] * 3
     assert report.purity_frequency == 1.0
+
+
+@pytest.mark.parametrize("trials", [1, 7])
+def test_concentration_same_on_any_worker_count(monkeypatch, trials):
+    workers = []
+
+    class RecordingPool(random_complexes.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(random_complexes, "ThreadPoolExecutor", RecordingPool)
+    params = LmParams(30, 0.5, 1, seed=11)
+    documents = []
+    for cpus in (1, 4):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)),
+            raising=False,
+        )
+        documents.append(concentration_report(params, 0.5, trials).to_dict())
+    assert documents[0] == documents[1]
+    assert workers == [1, min(trials, 4)]
+    assert documents[0]["counts"] == [
+        skeleton_statistics(LmParams(30, 0.5, 1, 11 + t))[0] for t in range(trials)
+    ]
+
+
+def test_concentration_last_seed_checked_before_any_draw(monkeypatch):
+    def no_draw(params):
+        raise AssertionError("drew before checking the seeds")
+
+    monkeypatch.setattr(random_complexes, "skeleton_statistics", no_draw)
+    params = LmParams(10, 0.5, 1, seed=2**64 - 1)
+    with pytest.raises(ValueError, match=str(2**64)):
+        concentration_report(params, 0.5, trials=2)
 
 
 def test_concentration_validation():
