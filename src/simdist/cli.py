@@ -2,8 +2,8 @@
 
 Every subcommand echoes its full configuration (seed included) into the
 output, and identical configurations produce byte-identical files. Exit
-codes: 0 success, 1 failed verification or hypothesis failure, 2 input
-errors.
+codes: 0 success, 1 failed verification, hypothesis failure or spectral
+failure, 2 input errors.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def _emit(payload: dict, out: str | None, as_csv: bool = False, csv_data=None):
 
 
 def _guard(func):
-    """Map input/domain errors to exit code 2."""
+    """Map input/domain errors to exit code 2 and spectral failures to 1."""
 
     @functools.wraps(func)
     def wrapper(*args, **kwargs):
@@ -59,6 +59,9 @@ def _guard(func):
         except _INPUT_ERRORS as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
+        except SpectralError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
 
     return wrapper
 
@@ -101,11 +104,7 @@ def lmgen(n, p, k, seed, out, fmt):
 def spectrum_command(complex_path, k, tolerance, out):
     """Eigenvalues of the upper k-Laplacian with the verified zero split."""
     complex_ = load_complex(complex_path)
-    try:
-        result = spectrum(complex_, k, tolerance)
-    except SpectralError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    result = spectrum(complex_, k, tolerance)
     payload = {
         "config": {"complex": complex_path, "k": k, "tolerance": tolerance},
         "result": result.to_dict(),

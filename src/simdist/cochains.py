@@ -267,21 +267,32 @@ def spectrum(
         lam = float(nonzero[0]) if nonzero.size else None
         return SpectralResult(eigenvalues, zero_multiplicity, lam, tolerance, True)
 
-    # Iterative path: only the least nonzero eigenvalue, deflating the known
-    # kernel (image of d_{k-1}, plus constants at k=0) by a spectral shift.
-    # The h kernel directions outside that image (the cohomology) stay at
-    # zero, so the gap is the (h+1)-th smallest eigenvalue of the shifted op.
-    basis = _kernel_image_basis(complex_, k, lap)
-    h = kernel_dim - basis.shape[1]
-    if h < 0:
+    # Iterative path: only the least nonzero eigenvalue. The known kernel is
+    # the image of S = W^{1/2} d_{k-1} (the sqrt(w) column at k=0); the shift
+    # lifts it through the exact projector S G^+ S^T, G = S^T S. The h kernel
+    # directions outside that image (the cohomology) stay at zero, so the gap
+    # is the (h+1)-th smallest eigenvalue of the shifted operator.
+    scale = np.sqrt(lap.weights_k)
+    if k == 0:
+        image, rank_down = sparse.csr_matrix(scale[:, None]), 1
+    else:
+        image = sparse.diags(scale) @ differential_matrix(complex_, k - 1)
+        rank_down = _coboundary_rank(complex_, k - 1)
+    # G^+ with scipy's pinvh cutoff; pinvh itself calls the QR-iteration
+    # eigh, 8x slower than numpy's divide-and-conquer at n_{k-1} = 780
+    vals, vecs = np.linalg.eigh((image.T @ image).toarray())
+    kept = vals > vals[-1] * len(vals) * np.finfo(float).eps
+    if np.count_nonzero(kept) != rank_down:
         raise SpectralMismatchError(
-            f"coboundary image spans {basis.shape[1]} dimensions but the "
-            f"kernel of the degree-{k} coboundary has dimension {kernel_dim}"
+            f"the pseudo-inverse keeps {np.count_nonzero(kept)} directions but "
+            f"the degree-{k - 1} coboundary has rank {rank_down}"
         )
+    gram_pinv = (vecs[:, kept] / vals[kept]) @ vecs[:, kept].T
+    h = kernel_dim - rank_down
     shift = float(k + 3)  # above the spectral ceiling k+2
 
     def matvec(v):
-        return lap.symmetric @ v + shift * (basis @ (basis.T @ v))
+        return lap.symmetric @ v + shift * (image @ (gram_pinv @ (image.T @ v)))
 
     op = sparse_linalg.LinearOperator((n_k, n_k), matvec=matvec)
     # a fixed start vector: ARPACK's default is random, and so would be λ's last digits
@@ -300,21 +311,6 @@ def spectrum(
             f"eigenvalues below {tolerance} after deflation; expected {h}"
         )
     return SpectralResult(np.array([lam]), kernel_dim, lam, tolerance, False)
-
-
-def _kernel_image_basis(
-    complex_: SimplicialComplex, k: int, lap: UpperLaplacian
-) -> np.ndarray:
-    """Orthonormal basis of the symmetrized image of d_{k-1} (constants at k=0)."""
-    scale = np.sqrt(lap.weights_k)
-    if k == 0:
-        cols = scale.reshape(-1, 1)
-    else:
-        lower = differential_matrix(complex_, k - 1).toarray().astype(float)
-        cols = scale[:, None] * lower
-    q, r = np.linalg.qr(cols)
-    keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, np.abs(r).max())
-    return q[:, keep]
 
 
 # -- exact rank ---------------------------------------------------------------
@@ -415,8 +411,9 @@ def exact_rank(matrix) -> int:
     input is never densified; only the core they leave is. The core is
     eliminated over two fixed 31-bit prime fields (each gives a lower bound
     on the rational rank); disagreement falls back to exact Fraction
-    elimination. Both primes dividing a nonzero invariant factor at desk
-    scale is the only way the fast path could be wrong.
+    elimination. Two primes agreeing is evidence, not proof: both could
+    divide the same nonzero invariant factor. Only a core whose mod-p rank
+    equals its smaller dimension has a certified rank.
     """
     rows, cols, values, shape = _integer_entries(matrix)
     rank, rows, cols, values = _peel_singletons(rows, cols, values, shape)
@@ -441,31 +438,30 @@ def _coboundary_rank(complex_: SimplicialComplex, k: int) -> int:
     k-simplices containing rho, none of which contains vertex 0 (at k=0 the
     rows sum to zero). Without them every (k+1)-simplex through vertex 0 is
     a singleton row of the rest, which starts the peel in `exact_rank`.
-    Vertex 0's k-simplices come first in canonical order.
+    Vertex 0's k-simplices come first in canonical order. Ranked once per
+    complex and degree.
     """
-    through = int(np.searchsorted(complex_.simplex_rows(k)[:, 0], 1))
-    return exact_rank(differential_matrix(complex_, k)[:, through:])
+    rank = complex_._ranks.get(k)
+    if rank is None:
+        through = int(np.searchsorted(complex_.simplex_rows(k)[:, 0], 1))
+        rank = exact_rank(differential_matrix(complex_, k)[:, through:])
+        complex_._ranks[k] = rank
+    return rank
 
 
-def cohomology_dim(
-    complex_: SimplicialComplex,
-    k: int,
-    kernel_dim: int | None = None,
-) -> int:
+def cohomology_dim(complex_: SimplicialComplex, k: int) -> int:
     """dim ker d_k - rank d_{k-1}, with the reduced convention at k=0.
 
     The reduced convention takes the degree -1 space to be the constants, so
     the degree-0 dimension counts connected components minus one. Ranks are
-    exact integer ranks at every size. A caller that already knows
-    dim ker d_k (a verified spectrum's zero multiplicity) passes it as
-    `kernel_dim`, and then only d_{k-1} is ranked.
+    exact integer ranks at every size, shared with `spectrum` through the
+    complex's rank cache.
     """
     if k < 0 or k > complex_.dim:
         raise DegreeError(f"degree {k} outside 0..{complex_.dim}")
-    if kernel_dim is None:
-        kernel_dim = complex_.simplex_count(k)
-        if k < complex_.dim:
-            kernel_dim -= _coboundary_rank(complex_, k)
+    kernel_dim = complex_.simplex_count(k)
+    if k < complex_.dim:
+        kernel_dim -= _coboundary_rank(complex_, k)
     if k == 0:
         rank_down = 1 if complex_.num_vertices else 0
     else:

@@ -132,7 +132,7 @@ class SimplicialComplex:
 
     __slots__ = ("dim", "labels", "_label_to_id", "_rows", "_facets", "_tuples",
                  "_indexes", "_cofaces", "_weights", "_pure", "_differentials",
-                 "_gallery_labels")
+                 "_ranks", "_gallery_labels")
 
     def __init__(self, generating_simplices, *, allow_empty: bool = False):
         self._build(_generating_rows(generating_simplices), allow_empty)
@@ -213,6 +213,8 @@ class SimplicialComplex:
         self._pure = all(min(level, default=1) > 0 for level in self._weights)
         # incidence matrices by degree, filled by cochains.differential_matrix
         self._differentials: dict = {}
+        # exact ranks of d_k by degree, filled by cochains._coboundary_rank
+        self._ranks: dict = {}
         # gallery component labels by degree, filled by gallery._incidence_components
         self._gallery_labels: dict = {}
 

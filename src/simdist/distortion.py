@@ -128,8 +128,8 @@ def compute_hypotheses(
     verified spectral gap at level k. Degenerate instances (no k-simplices or
     no (k+1)-simplices) report the corresponding flags as failing.
 
-    d_k is ranked once: the spectrum's verified zero multiplicity is
-    dim ker d_k, and the cohomology dimension reuses it."""
+    Each coboundary is ranked once: the spectrum and the cohomology
+    dimension share the complex's rank cache."""
     pure = complex_.is_pure
     if k > complex_.dim:
         return HypothesisReport(k, pure, False, True, None, None, tolerance)
@@ -140,7 +140,7 @@ def compute_hypotheses(
         spectral = spectrum(complex_, k, tolerance)
         lam = spectral.lambda_min_nonzero
         zero_mult = spectral.zero_multiplicity
-    cohomology_zero = cohomology_dim(complex_, k, zero_mult) == 0
+    cohomology_zero = cohomology_dim(complex_, k) == 0
     return HypothesisReport(
         k, pure, gallery_connected, cohomology_zero, lam, zero_mult, tolerance
     )
@@ -415,17 +415,11 @@ def distortion_lower_bound(
     num_top = complex_.simplex_count(n)
     size = family.size
 
-    first = None
-    half = size // 2
-    base = d_max * max(k, 1)
-    vacuous = False
-    if half >= 1 and base > 1 and family.s >= 2:
-        first = (math.log(half / num_k) - family.s * math.log(2.0)) / (
-            (family.s - 1) * math.log(base)
-        ) - 1.0
-        vacuous = first <= 0.0
-    else:
-        vacuous = True
+    try:
+        first = combinatorial_fill_bound(size // 2, num_k, family.s, d_max, k)
+    except ValueError:
+        first = None
+    vacuous = first is None or first <= 0.0
 
     l_value = second = cap = None
     counting_ok = None

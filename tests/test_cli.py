@@ -172,6 +172,25 @@ def test_concentration_last_trial_seed_out_of_range(runner):
     assert f"seed of the last trial, {2**64}, must fit in 64 bits" in result.output
 
 
+@pytest.mark.parametrize("command", [
+    ["spectrum"],
+    ["verify", "all"],
+    ["distortion", "eval", "--embedding", "gaussian:4:11"],
+    ["distortion", "bound"],
+], ids=["spectrum", "verify-all", "distortion-eval", "distortion-bound"])
+def test_spectral_error_exits_one_with_one_line(runner, tmp_path, command):
+    # a tolerance above the gap makes every command's spectrum refuse
+    path = _lmgen(runner, tmp_path, n=9, p=0.9, seed=3)
+    result = runner.invoke(
+        main, command + ["--complex", str(path), "--k", "1", "--tolerance", "3.0"]
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # handled, no traceback
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+
+
 def test_input_errors_exit_two(runner, tmp_path):
     missing = runner.invoke(
         main, ["spectrum", "--complex", str(tmp_path / "nope.cplx"), "--k", "1"]

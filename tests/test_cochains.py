@@ -151,16 +151,29 @@ def _annulus(steps):
     return build_complex(tops)
 
 
+def _two_components(n, p, k, seed):
+    """The top simplices of two samples, the second shifted by n vertices."""
+    first, second = (linial_meshulam(LmParams(n, p, k, seed=s)).simplex_rows(k + 1)
+                     for s in (seed, seed + 1))
+    return build_complex(np.concatenate([first, second + n]).tolist())
+
+
 def test_iterative_gap_matches_dense(monkeypatch):
     from simdist.distortion import compute_hypotheses
 
-    # the last two have nonzero cohomology: the iterative path must keep
-    # those kernel directions at zero and still find the gap above them
+    # the annulus and LM(10, 0.3) have nonzero cohomology: the iterative path
+    # must keep those kernel directions at zero and still find the gap above
+    # them. At k=2, and on two components, the dependent columns of d_{k-1}
+    # are spread through the matrix rather than last.
     samples = [
         (complete_complex(8, 1), 0),
         (linial_meshulam(LmParams(9, 0.9, 1, seed=6)), 1),
         (_annulus(10), 1),
         (linial_meshulam(LmParams(10, 0.3, 1, seed=15)), 1),
+        (linial_meshulam(LmParams(12, 0.5, 2, seed=1)), 2),
+        (linial_meshulam(LmParams(16, 0.5, 2, seed=1)), 2),
+        (_two_components(8, 0.6, 1, seed=1), 1),
+        (_two_components(7, 0.7, 2, seed=1), 2),
     ]
     dense = [spectrum(x, k) for x, k in samples]
     flags = [compute_hypotheses(x, k).flags_string() for x, k in samples]
@@ -171,9 +184,43 @@ def test_iterative_gap_matches_dense(monkeypatch):
         assert not result.dense
         assert result.zero_multiplicity == reference.zero_multiplicity
         assert result.lambda_min_nonzero == pytest.approx(
-            reference.lambda_min_nonzero, rel=1e-6
+            reference.lambda_min_nonzero, rel=1e-10
         )
         assert compute_hypotheses(x, k).flags_string() == flag
+
+
+def test_iterative_tolerance_mismatch_is_hard_error(monkeypatch):
+    from simdist.cochains import SpectralMismatchError
+
+    monkeypatch.setattr(cochains_module, "DENSE_EIGENSOLVE_LIMIT", 1)
+    with pytest.raises(SpectralMismatchError):
+        spectrum(complete_complex(8, 1), 0, tolerance=3.0)
+
+
+def test_projector_rank_disagreeing_with_exact_rank_is_hard_error(monkeypatch):
+    from simdist.cochains import SpectralMismatchError
+
+    exact = cochains_module._coboundary_rank
+    monkeypatch.setattr(cochains_module, "DENSE_EIGENSOLVE_LIMIT", 1)
+    monkeypatch.setattr(cochains_module, "_coboundary_rank",
+                        lambda x, k: exact(x, k) + 1)
+    with pytest.raises(SpectralMismatchError, match="pseudo-inverse keeps"):
+        spectrum(linial_meshulam(LmParams(9, 0.9, 1, seed=6)), 1)
+
+
+@pytest.mark.parametrize("limit", [3000, 1])
+def test_hypotheses_rank_each_coboundary_once(monkeypatch, limit):
+    from simdist.distortion import compute_hypotheses
+
+    calls = []
+    exact = cochains_module.exact_rank
+    monkeypatch.setattr(cochains_module, "DENSE_EIGENSOLVE_LIMIT", limit)
+    monkeypatch.setattr(cochains_module, "exact_rank",
+                        lambda m: calls.append(m.shape) or exact(m))
+    x = linial_meshulam(LmParams(9, 0.9, 1, seed=6))
+    report = compute_hypotheses(x, 1)
+    assert report.spectral_zero_multiplicity is not None
+    assert len(calls) == 2  # d_1 and d_0
 
 
 def test_iterative_spectrum_is_deterministic(monkeypatch):
@@ -311,6 +358,20 @@ def test_coboundary_rank_matches_fraction_oracle():
             cores += _core_entries(x, k) > 0
     assert _core_entries(_rp2(), 1) > 0  # the two-prime path on a core runs
     assert cores > 2
+
+
+def test_exact_rank_fraction_fallback(monkeypatch):
+    # mod 2 the RP^2 core of d_1 loses rank, so the primes disagree
+    fallback = []
+    rationals = cochains_module._rank_over_rationals
+    monkeypatch.setattr(cochains_module, "_RANK_PRIMES", (2, 2147483647))
+    monkeypatch.setattr(cochains_module, "_rank_over_rationals",
+                        lambda m: fallback.append(m.shape) or rationals(m))
+    x = _rp2()
+    assert cochains_module._coboundary_rank(x, 1) == 10
+    assert cochains_module._coboundary_rank(x, 1) == _fraction_rank(
+        differential_matrix(x, 1).toarray())
+    assert fallback == [(5, 5)]
 
 
 def test_coboundary_rank_matches_dense_two_prime_rank():
