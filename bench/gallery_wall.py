@@ -1,0 +1,123 @@
+"""Wall timings of the gallery face search at the sizes where it is the limit.
+
+Usage (from the repository root):
+    python3 bench/gallery_wall.py [--src DIR] [--repeat N] [CASE ...]
+
+Each run of a case starts a fresh interpreter that imports simdist from DIR
+(default ./src), so two checkouts can be timed with one copy of this script.
+It prints one JSON line per run: the case, its timings in seconds (best of
+a few calls for the sub-millisecond ones) and the peak RSS in MB from
+`ru_maxrss`. The cases:
+
+    eval80       compute_hypotheses, then evaluate_distortion with the
+                 vertex-set family and gaussian:4:1, on LM(80, 0.2, 1)
+    tables80     face tables of all 3,160 edges of LM(80, 0.2, 1)
+    tables120    face tables of all 7,140 edges of LM(120, 0.15, 1)
+    graph200     GalleryGraph(LM(200, 0.15, 1), 1), then its node adjacency,
+                 which is built on first use where a checkout defers it,
+                 with the RSS growth of both
+    annulus760   face tables of all 3,040 edges of a 760-step annulus
+                 (761 levels), and of 4 of them
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import resource
+import subprocess
+import sys
+import time
+
+CASES = ("eval80", "tables80", "tables120", "graph200", "annulus760")
+
+
+def _peak_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def _annulus(steps: int):
+    from simdist.complexes import build_complex
+
+    tops = []
+    for i in range(steps):
+        j = (i + 1) % steps
+        tops += [(i, steps + i, j), (steps + i, steps + j, j)]
+    return build_complex(tops)
+
+
+def run_case(case: str) -> dict:
+    import numpy as np
+
+    from simdist.distortion import (
+        compute_hypotheses, evaluate_distortion, vertex_set_family,
+    )
+    from simdist.gallery import GalleryGraph
+    from simdist.geometry import Embedding
+    from simdist.random_complexes import LmParams, linial_meshulam
+
+    out: dict = {"case": case}
+    if case == "eval80":
+        x = linial_meshulam(LmParams(80, 0.2, 1, seed=1))
+        start = time.perf_counter()
+        hyp = compute_hypotheses(x, 1)
+        out["hypotheses_s"] = time.perf_counter() - start
+        start = time.perf_counter()
+        evaluate_distortion(x, vertex_set_family(x, 1), Embedding.gaussian(80, 4, seed=1),
+                            hypotheses=hyp)
+        out["eval_s"] = time.perf_counter() - start
+    elif case in ("tables80", "tables120"):
+        n, p = (80, 0.2) if case == "tables80" else (120, 0.15)
+        graph = GalleryGraph(linial_meshulam(LmParams(n, p, 1, seed=1)), 1)
+        start = time.perf_counter()
+        graph.face_tables(np.arange(graph.complex.simplex_count(1)))
+        out["tables_s"] = time.perf_counter() - start
+    elif case == "graph200":
+        x = linial_meshulam(LmParams(200, 0.15, 1, seed=1))
+        before = _peak_mb()
+        start = time.perf_counter()
+        graph = GalleryGraph(x, 1)
+        out["graph_s"] = time.perf_counter() - start
+        getattr(graph, "_adjacency", None)
+        out["with_adjacency_s"] = time.perf_counter() - start
+        out["rss_growth_mb"] = _peak_mb() - before
+    elif case == "annulus760":
+        graph = GalleryGraph(_annulus(760), 1)
+        start = time.perf_counter()
+        graph.face_tables(np.arange(graph.complex.simplex_count(1)))
+        out["tables_s"] = time.perf_counter() - start
+        few = []
+        for _ in range(5):
+            start = time.perf_counter()
+            graph.face_tables(np.array([0, 700, 1500, 3000]))
+            few.append(time.perf_counter() - start)
+        out["four_tables_s"] = min(few)
+    else:
+        raise SystemExit(f"unknown case {case!r}; choose from {', '.join(CASES)}")
+    out["peak_rss_mb"] = _peak_mb()
+    return out
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default="src")
+    parser.add_argument("--repeat", type=int, default=1)
+    parser.add_argument("--inline", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("cases", nargs="*", default=list(CASES))
+    args = parser.parse_args()
+    if args.inline:  # the child: one case in this interpreter
+        sys.path.insert(0, os.path.abspath(args.src))
+        print(json.dumps(run_case(args.cases[0])))
+        return
+    for _ in range(args.repeat):
+        for case in args.cases:
+            child = subprocess.run(
+                [sys.executable, __file__, "--inline", "--src", args.src, case],
+                check=True, capture_output=True, text=True,
+            )
+            print(child.stdout.strip(), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -113,6 +113,16 @@ class Cochain:
         return cls(complex_, k, values)
 
 
+def _coboundary_entries(complex_: SimplicialComplex, k: int):
+    """The columns of d_k's rows as an (n_{k+1}, k+2) array, and their signs.
+
+    The face that omits vertex j carries (-1)^j; faces that omit later
+    vertices come first in canonical order, so reversed columns are sorted.
+    """
+    return (complex_.facet_table(k + 1)[:, ::-1],
+            (-1) ** np.arange(k + 1, -1, -1, dtype=np.int64))
+
+
 def differential_matrix(complex_: SimplicialComplex, k: int) -> sparse.csr_matrix:
     """Signed incidence matrix of d_k: rows (k+1)-simplices, columns k-simplices.
 
@@ -125,10 +135,7 @@ def differential_matrix(complex_: SimplicialComplex, k: int) -> sparse.csr_matri
     cached = complex_._differentials.get(k)
     if cached is not None:
         return cached
-    # The face that omits vertex j carries (-1)^j; faces that omit later
-    # vertices come first in canonical order, so reversed columns are sorted.
-    cols = complex_.facet_table(k + 1)[:, ::-1]
-    signs = (-1) ** np.arange(k + 1, -1, -1, dtype=np.int64)
+    cols, signs = _coboundary_entries(complex_, k)
     mat = sparse.csr_matrix(
         (np.tile(signs, len(cols)), cols.ravel(), np.arange(0, cols.size + 1, k + 2)),
         shape=(len(cols), complex_.simplex_count(k)),
@@ -415,7 +422,11 @@ def exact_rank(matrix) -> int:
     divide the same nonzero invariant factor. Only a core whose mod-p rank
     equals its smaller dimension has a certified rank.
     """
-    rows, cols, values, shape = _integer_entries(matrix)
+    return _entries_rank(*_integer_entries(matrix))
+
+
+def _entries_rank(rows, cols, values, shape) -> int:
+    """`exact_rank` of the matrix with these int64 nonzero entries."""
     rank, rows, cols, values = _peel_singletons(rows, cols, values, shape)
     if not rows.size:
         return rank
@@ -437,14 +448,20 @@ def _coboundary_rank(complex_: SimplicialComplex, k: int) -> int:
     d_k d_{k-1} e_rho = 0 writes its column through the columns of the other
     k-simplices containing rho, none of which contains vertex 0 (at k=0 the
     rows sum to zero). Without them every (k+1)-simplex through vertex 0 is
-    a singleton row of the rest, which starts the peel in `exact_rank`.
-    Vertex 0's k-simplices come first in canonical order. Ranked once per
-    complex and degree.
+    a singleton row of the rest, which starts the peel of `exact_rank`.
+    Vertex 0's k-simplices come first in canonical order. The entries are
+    those of `differential_matrix`, taken from the facet table without
+    building it. Ranked once per complex and degree.
     """
     rank = complex_._ranks.get(k)
     if rank is None:
         through = int(np.searchsorted(complex_.simplex_rows(k)[:, 0], 1))
-        rank = exact_rank(differential_matrix(complex_, k)[:, through:])
+        cols, signs = _coboundary_entries(complex_, k)
+        rows, at = np.nonzero(cols >= through)
+        rank = _entries_rank(
+            rows, cols[rows, at] - through, signs[at],
+            (len(cols), complex_.simplex_count(k) - through),
+        )
         complex_._ranks[k] = rank
     return rank
 

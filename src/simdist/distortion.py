@@ -211,13 +211,14 @@ def boundary_pairing(phi: Cochain, boundary: OrientedBoundary) -> float:
     if boundary.k != phi.k:
         raise DegreeError(f"cochain degree {phi.k} vs boundary dimension {boundary.k}")
     complex_ = phi.complex
-    return float(
-        sum(sign * phi.values[complex_.index_of(face)]
-            for face, sign in boundary.faces)
-    )
+    # left to right: builtin sum() compensates float sums since Python 3.12
+    total = 0.0
+    for face, sign in boundary.faces:
+        total += sign * phi.values[complex_.index_of(face)]
+    return float(total)
 
 
-def _simplex_boundary_pairings(phi: Cochain, face_indices: np.ndarray) -> list[float]:
+def _simplex_boundary_pairings(phi: Cochain, face_indices: np.ndarray) -> np.ndarray:
     """`boundary_pairing` of phi with every member of a family's face table.
 
     Accumulates v0 - v1 + v2 ... one column at a time, the order in which
@@ -226,7 +227,7 @@ def _simplex_boundary_pairings(phi: Cochain, face_indices: np.ndarray) -> list[f
     total = gathered[:, 0]
     for j in range(1, gathered.shape[1]):
         total = total - gathered[:, j] if j % 2 else total + gathered[:, j]
-    return total.tolist()
+    return total
 
 
 @dataclass
@@ -278,7 +279,8 @@ def cochain_energy_inequality(
         l_value = family.l
         coefficient = l_value * hyp.lambda_min_nonzero / family.s
         pairings = _simplex_boundary_pairings(phi, family.face_indices)
-        rhs = coefficient * sum(value ** 2 for value in pairings)
+        # cumsum adds left to right; builtin sum() compensates since Python 3.12
+        rhs = coefficient * float(np.cumsum(np.square(pairings))[-1])
         margin = lhs - rhs
     return InequalityCheck(lhs, rhs, margin, l_value, family.s,
                            hyp.lambda_min_nonzero, hyp, applicable and lhs is not None)

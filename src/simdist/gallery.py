@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -36,25 +37,49 @@ INF = math.inf
 # Entries of one block of face tables or Dreyfus-Wagner tables: the batched
 # kernels work through their rows in blocks of about this many entries.
 BLOCK_ENTRIES = 1 << 22
+# Levels of the bit-parallel face search before the sources it has not
+# finished go to one breadth-first search each. Every level is a pass over
+# the whole face graph, so on a deep graph, such as a long strip, separate
+# searches cost less. LM complexes measured need at most 7 levels, and 4 or 5
+# when gallery-connected. Below 254, so that a level fits a uint8 under its
+# marker.
+MSBFS_LEVELS = 8
+# _BITS[b] spreads the 8 bits of byte b over the 8 bytes of a uint64, low bit
+# first, so one gather unpacks a packed bit row into 0/1 bytes
+_BITS = np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
+).view(np.uint64).ravel()
 
 
 class UnfillableError(ValueError):
     """Some pair of the face set cannot be joined by any gallery."""
 
 
-def _face_graph(complex_: SimplicialComplex, k: int) -> sparse.csr_matrix:
-    """The k-faces, adjacent when one (k+1)-simplex holds both.
+def _face_neighbours(complex_: SimplicialComplex, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The face graph as CSR arrays (indptr, indices): k-faces are adjacent
+    when one (k+1)-simplex holds both.
 
-    This is B B^T for the face-coface incidence B. Its diagonal only adds
-    self-loops, which breadth-first search ignores; float64 entries, since
-    csgraph would convert any other dtype on every call.
+    Face f's neighbours are the other facets of each of its cofaces, coface
+    by coface. Two distinct k-faces lie in at most one (k+1)-simplex, their
+    union, so no neighbour repeats. A face in no (k+1)-simplex is its own
+    only neighbour, so that no row is empty: `np.bitwise_or.reduceat` would
+    give an empty row the first entry of the next.
     """
-    indptr, indices = complex_.coface_csr(k)
-    incidence = sparse.csr_matrix(
-        (np.ones(len(indices)), indices, indptr),
-        shape=(len(indptr) - 1, complex_.simplex_count(k + 1)),
-    )
-    return (incidence @ incidence.T).tocsr()
+    indptr, cofaces = complex_.coface_csr(k)
+    sizes = np.diff(indptr)
+    facets = complex_.facet_table(k + 1)[cofaces]
+    others = facets[facets != np.repeat(np.arange(len(sizes)), sizes)[:, None]]
+    lone = np.flatnonzero(sizes == 0)
+    return (np.concatenate([[0], np.cumsum(np.maximum(sizes * (k + 1), 1))]),
+            np.insert(others, indptr[lone] * (k + 1), lone))
+
+
+def _face_graph(complex_: SimplicialComplex, k: int) -> sparse.csr_matrix:
+    """The face graph of `_face_neighbours` as a scipy matrix for csgraph,
+    which would convert any dtype other than float64 on every call."""
+    indptr, indices = _face_neighbours(complex_, k)
+    size = len(indptr) - 1
+    return sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(size, size))
 
 
 def _incidence_components(
@@ -91,7 +116,10 @@ class GalleryGraph:
 
     With B the k-face x (k+1)-simplex incidence, the adjacency is B^T B
     minus its diagonal: two distinct (k+1)-simplices share at most one k-face.
-    `face_graph` is B B^T, the k-faces adjacent when one node holds both.
+    The adjacency is built on first use. The face graph, the k-faces
+    adjacent when one node holds both, is kept as numpy CSR arrays for the
+    bit-parallel search of `face_tables`; `face_graph` is the same graph as
+    a scipy matrix, also built on first use.
     """
 
     def __init__(self, complex_: SimplicialComplex, k: int):
@@ -100,7 +128,20 @@ class GalleryGraph:
         self.complex = complex_
         self.k = k
         self.num_nodes = complex_.simplex_count(k + 1)
-        indptr, indices = complex_.coface_csr(k)
+        self._incidence_count, self._face_components, self.components = (
+            _incidence_components(complex_, k)
+        )
+        indptr, self._face_indices = _face_neighbours(complex_, k)
+        self._face_starts = indptr[:-1]
+        self._face_count = len(self._face_starts)
+        self._node_faces = complex_.facet_table(k + 1)
+
+    @cached_property
+    def _adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The node adjacency's indptr, indices and row lengths, built on
+        first use: only the Dreyfus-Wagner search and the witness walk of
+        `fill_number` step from node to node."""
+        indptr, indices = self.complex.coface_csr(self.k)
         incidence = sparse.csr_matrix(
             (np.ones(len(indices), dtype=np.int32), indices, indptr),
             shape=(len(indptr) - 1, self.num_nodes),
@@ -111,14 +152,14 @@ class GalleryGraph:
         shared.eliminate_zeros()
         shared.sort_indices()
         # intp arrays index faster than scipy's int32
-        self._indptr = shared.indptr.astype(np.intp)
-        self._indices = shared.indices.astype(np.intp)
-        self._degrees = np.diff(self._indptr)
-        self._incidence_count, self._face_components, self.components = (
-            _incidence_components(complex_, k)
-        )
-        self.face_graph = _face_graph(complex_, k)
-        self._node_faces = complex_.facet_table(k + 1)
+        indptr = shared.indptr.astype(np.intp)
+        return indptr, shared.indices.astype(np.intp), np.diff(indptr)
+
+    @cached_property
+    def face_graph(self) -> sparse.csr_matrix:
+        """The face graph for csgraph: single-source distances and the
+        sources that `face_tables` leaves to breadth-first search."""
+        return _face_graph(self.complex, self.k)
 
     @property
     def nodes(self) -> list[tuple[int, ...]]:
@@ -127,11 +168,12 @@ class GalleryGraph:
 
     def _neighbours(self, nodes: np.ndarray) -> np.ndarray:
         """Adjacency rows of a nonempty node array, concatenated."""
-        counts = self._degrees[nodes]
+        indptr, indices, degrees = self._adjacency
+        counts = degrees[nodes]
         ends = np.cumsum(counts)
-        positions = np.repeat(self._indptr[nodes] - ends + counts, counts)
+        positions = np.repeat(indptr[nodes] - ends + counts, counts)
         positions += np.arange(ends[-1])
-        return self._indices[positions]
+        return indices[positions]
 
     def relax(self, table: np.ndarray, cap: int) -> np.ndarray:
         """Lower `table` in place to min over u of table[u] + dist(u, v).
@@ -150,29 +192,86 @@ class GalleryGraph:
             if frontier.size:
                 nodes = frontier % self.num_nodes
                 reached = self._neighbours(nodes)
-                reached += np.repeat(frontier - nodes, self._degrees[nodes])
+                reached += np.repeat(frontier - nodes, self._adjacency[2][nodes])
                 flat[reached] = np.minimum(flat[reached], level + 1)
             elif not ((flat > level) & (flat < cap)).any():
                 break
             level += 1
         return table
 
+    def _levels(self, sources: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+        """Face-graph distances from each source, by one multi-source BFS.
+
+        The search of Then et al. (PVLDB 8(4), 2014): each face keeps one bit
+        per source in packed uint64 words, and a level moves every source at
+        once, ``next[f] = OR of frontier[g] over the neighbours g of f, minus
+        seen``. Bit b of the levels that reach each face collects in a plane
+        of its own, so the distances are unpacked once. Returns a (faces,
+        sources) array of `dtype`, its maximum - 1 where unreached, and a mask
+        of the sources still unfinished after MSBFS_LEVELS levels, whose
+        columns the caller must replace.
+        """
+        count = len(sources)
+
+        def unpack(words):  # (..., words) uint64 -> (..., count) 0/1 bytes
+            return _BITS[words.view(np.uint8)].view(np.uint8)[..., :count]
+
+        start = np.ones((self._face_count, -(-count // 64) * 64), dtype=bool)
+        start[sources, np.arange(count)] = False
+        unseen = np.packbits(start, axis=1, bitorder="little").view(np.uint64)
+        frontier = ~unseen
+        planes = []
+        for level in range(1, MSBFS_LEVELS + 1):
+            frontier = np.bitwise_or.reduceat(
+                frontier[self._face_indices], self._face_starts, axis=0
+            )
+            frontier &= unseen
+            if not frontier.any():
+                break
+            unseen ^= frontier
+            if level & (level - 1) == 0:
+                planes.append(frontier.copy())
+            else:
+                for bit, plane in enumerate(planes):
+                    if level >> bit & 1:
+                        plane |= frontier
+        # each byte lane gathers one distance, bit by bit
+        lanes = np.zeros((self._face_count, unseen.shape[1] * 8), dtype=np.uint64)
+        for bit, plane in enumerate(planes):
+            lanes |= _BITS[plane.view(np.uint8)] << np.uint64(bit)
+        dist = lanes.view(np.uint8)[:, :count].astype(dtype, copy=False)
+        np.copyto(dist, np.iinfo(dtype).max - 1, where=unpack(unseen).view(bool))
+        return dist, unpack(np.bitwise_or.reduce(frontier, axis=0)).view(bool)
+
+    def _nearest(self, dist: np.ndarray) -> np.ndarray:
+        """Min over each node's k-faces of the rows of a (faces, m) array."""
+        block = dist[self._node_faces[:, 0]]
+        for column in self._node_faces.T[1:]:
+            np.minimum(block, dist[column], out=block)
+        return block
+
     def face_tables(self, faces) -> np.ndarray:
         """Node-count distances from the stars of k-faces, one row per face.
 
         A node of the face's star costs 1 and each gallery step adds 1, so
         an entry is 1 + the least face-graph distance from the face to a
-        k-face of the node. Rows come from breadth-first searches over the
-        face graph in blocks of faces and are stored in the smallest unsigned
-        dtype that holds them. Nodes of other components hold the dtype's
-        maximum, above every real entry.
+        k-face of the node. Rows come in blocks of faces from the
+        multi-source BFS of `_levels`; the sources it leaves unfinished get
+        one breadth-first search each over `face_graph`. Rows are stored in
+        the smallest unsigned dtype that holds them. Nodes of other
+        components hold the dtype's maximum, above every real entry.
         """
         faces = np.asarray(faces, dtype=np.intp)
         tables = np.empty((len(faces), self.num_nodes), dtype=np.uint8)
-        step = max(1, BLOCK_ENTRIES // max(self.num_nodes, self.face_graph.shape[0]))
+        step = max(1, BLOCK_ENTRIES // max(self.num_nodes, self._face_count))
         for start in range(0, len(faces), step):
+            sources = faces[start:start + step]
+            levels, unfinished = self._levels(sources, tables.dtype)
+            tables[start:start + step] = self._nearest(levels).T + 1
+            if not unfinished.any():
+                continue
             dist = csgraph.shortest_path(
-                self.face_graph, unweighted=True, indices=faces[start:start + step]
+                self.face_graph, unweighted=True, indices=sources[unfinished]
             )
             reached = np.isfinite(dist)
             longest = int(dist[reached].max(initial=0)) + 1
@@ -181,11 +280,8 @@ class GalleryGraph:
                 tables = tables.astype(np.min_scalar_type(longest + 1))
                 tables[tables == marker] = np.iinfo(tables.dtype).max
             dist[~reached] = np.iinfo(tables.dtype).max - 1
-            dist = dist.astype(tables.dtype)
-            block = dist[:, self._node_faces[:, 0]]
-            for column in self._node_faces.T[1:]:
-                np.minimum(block, dist[:, column], out=block)
-            tables[start:start + step] = block + 1
+            dist = dist.astype(tables.dtype).T
+            tables[start + np.flatnonzero(unfinished)] = self._nearest(dist).T + 1
         return tables
 
     def steiner_tables(self, tables: np.ndarray, caps: np.ndarray):
@@ -261,7 +357,7 @@ class GalleryGraph:
         # a block holds 2^s subset tables, and relaxing one pushes along
         # every adjacency entry of its rows
         search = np.flatnonzero(fills > 2)
-        step = max(1, BLOCK_ENTRIES // ((len(self._indices) + self.num_nodes) << s))
+        step = max(1, BLOCK_ENTRIES // ((len(self._adjacency[1]) + self.num_nodes) << s))
         for start in range(0, len(search), step):
             rows = search[start:start + step]
             caps = fills[rows]
@@ -475,7 +571,8 @@ def fill_number(
             )
             stack += [(part, v), (subset ^ part, v)]
         elif value > 1:
-            row = graph._indices[graph._indptr[v]:graph._indptr[v + 1]]
+            indptr, indices, _ = graph._adjacency
+            row = indices[indptr[v]:indptr[v + 1]]
             stack.append((subset, int(row[tree[subset][row] == value - 1][0])))
     witness = tuple(graph.nodes[v] for v in sorted(chosen))
     return FillResult(exact, exact, exact, witness, False, len(merged))

@@ -417,11 +417,11 @@ def stokes_check(
     cell_points = [(embedding.coords(s), coeff) for s, coeff in chain]
     worst = 0.0
     for idx in multi_indices(m, boundary.k + 1):
-        from_boundary = sum(
-            sign * moment_integral(pts, idx) for pts, sign in face_points
-        )
-        from_filling = sum(
-            coeff * signed_projected_volume(pts, idx) for pts, coeff in cell_points
-        )
+        # left to right: builtin sum() compensates float sums since Python 3.12
+        from_boundary = from_filling = 0.0
+        for pts, sign in face_points:
+            from_boundary += sign * moment_integral(pts, idx)
+        for pts, coeff in cell_points:
+            from_filling += coeff * signed_projected_volume(pts, idx)
         worst = max(worst, abs(from_boundary - from_filling))
     return worst

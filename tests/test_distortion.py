@@ -15,6 +15,7 @@ from simdist.complexes import (
 )
 from simdist.distortion import (
     BoundaryFamily,
+    _simplex_boundary_pairings,
     EmbeddingSpec,
     FillBoundUndefinedError,
     boundary_pairing,
@@ -118,11 +119,11 @@ def test_energy_rhs_matches_pairing_reference():
             phi = random_cochain(x, k, rng)
             check = cochain_energy_inequality(x, family, phi, hypotheses=hyp)
             coefficient = check.l * check.lam / check.s
-            expected = coefficient * sum(
-                boundary_pairing(phi, simplex_boundary_oriented(row)) ** 2
-                for row in family.vertex_sets.tolist()
-            )
-            assert check.rhs == expected
+            total = 0.0
+            for row in family.vertex_sets.tolist():
+                value = boundary_pairing(phi, simplex_boundary_oriented(row))
+                total += value * value
+            assert check.rhs == coefficient * total
 
 
 def test_distortion_volumes_match_scalar_kernel():
@@ -168,6 +169,25 @@ def test_pairing_matches_differential_on_simplex_boundary():
     for sigma in x.simplices(2):
         member = simplex_boundary_oriented(sigma)
         assert boundary_pairing(phi, member) == pytest.approx(d_phi(sigma), rel=1e-12)
+
+
+def test_sums_run_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16, so a compensated sum, which builtin
+    # sum() does since Python 3.12, would give 1.0 here and 1e16 + 2 below
+    x = complete_complex(4, 2)
+    # edges (0,1), (0,2), (0,3), (1,2), (1,3), (2,3)
+    phi = Cochain(x, 1, [-1e16, -1.0, 0.0, 1e16, 0.0, 0.0])
+    member = simplex_boundary_oriented([0, 1, 2])
+    terms = [sign * phi(face) for face, sign in member.faces]
+    assert terms == [1e16, 1.0, -1e16] and math.fsum(terms) == 1.0
+    assert boundary_pairing(phi, member) == 0.0
+    faces = x.facet_indices(np.array([[0, 1, 2]]))
+    assert _simplex_boundary_pairings(phi, faces).tolist() == [0.0]
+
+    # pairings 1e8, 1, 1: their squares add to 1e16 left to right
+    family = BoundaryFamily(x, np.array([(0, 1, 2), (0, 2, 3), (1, 2, 3)]))
+    check = cochain_energy_inequality(x, family, Cochain(x, 1, [1e8, 0, 0, 0, 0, 1]))
+    assert check.rhs == check.l * check.lam / check.s * 1e16
 
 
 def test_pairing_zero_cochain():

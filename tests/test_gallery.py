@@ -446,6 +446,80 @@ def test_steiner_tables_batch_matches_one_row_at_a_time():
                 assert (np.minimum(tree[subset][i], cap) == np.minimum(table[0], cap)).all()
 
 
+def star_tables_oracle(complex_, k):
+    """Face tables by one plain BFS over the nodes from each face's star."""
+    nodes = complex_.simplices(k + 1)
+    adjacency = node_adjacency(nodes)
+    tables = []
+    for face in complex_.simplices(k):
+        dist = dict.fromkeys(node_star(nodes, face), 1)
+        frontier = list(dist)
+        while frontier:
+            reached = []
+            for v in frontier:
+                for w in adjacency[v]:
+                    if w not in dist:
+                        dist[w] = dist[v] + 1
+                        reached.append(w)
+            frontier = reached
+        tables.append([dist.get(v) for v in range(len(nodes))])
+    return tables
+
+
+def _level_cap_cases():
+    """Complexes, their degree and face rows whose faces share a component."""
+    def members(x, k, vertices):
+        rows = np.array(list(combinations(vertices, k + 2)))
+        return x.facet_indices(rows)
+
+    for n, p, k, seed in [(11, 0.5, 1, 1), (9, 0.5, 2, 2)]:
+        x = linial_meshulam(LmParams(n, p, k, seed=seed))
+        yield x, k, members(x, k, range(n))
+    # two components; rows stay inside one
+    first, second = (linial_meshulam(LmParams(8, 0.6, 1, seed=s)).simplex_rows(2)
+                     for s in (1, 3))
+    x = build_complex(np.concatenate([first, second + 8]).tolist())
+    yield x, 1, np.concatenate([members(x, 1, range(8)), members(x, 1, range(8, 16))])
+    # the edges (0, 9) and (4, 10) lie in no triangle; the first sits between
+    # edges that do, the second comes last
+    x = build_complex([(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 9), (4, 10)])
+    yield x, 1, np.array([[x.index_of(f) for f in faces] for faces in (
+        [(0, 1), (1, 3), (2, 4)], [(0, 2), (1, 2), (3, 4)], [(0, 1), (0, 2), (1, 2)])])
+    # 300 levels, far past the cap and past uint8
+    x = build_complex([(i, i + 1) for i in range(300)])
+    yield x, 0, x.facet_indices(np.array([[0, 300], [5, 280], [7, 9]]))
+
+
+@pytest.mark.parametrize("levels", [1, gallery_module.MSBFS_LEVELS])
+def test_face_search_level_cap_from_both_sides(monkeypatch, levels):
+    # at 0 levels every source goes to csgraph's breadth-first search; at 1
+    # almost every source does, and at the default none on the LM samples
+    for x, k, rows in _level_cap_cases():
+        simplices = x.simplices(k)
+        sets = [[simplices[i] for i in row] for row in rows]
+        monkeypatch.setattr(gallery_module, "MSBFS_LEVELS", 0)
+        graph = GalleryGraph(x, k)
+        expected = (graph.fill_numbers(rows),
+                    [fill_number(x, faces, graph=graph) for faces in sets])
+        monkeypatch.setattr(gallery_module, "MSBFS_LEVELS", levels)
+        graph = GalleryGraph(x, k)
+        everything = np.arange(len(simplices))
+        unfinished = graph._levels(everything, np.uint8)[1]
+        assert unfinished.any() == (levels == 1 or k == 0)
+        tables = graph.face_tables(everything)
+        assert tables.dtype == (np.uint16 if k == 0 else np.uint8)
+        marker = np.iinfo(tables.dtype).max
+        oracle = star_tables_oracle(x, k)
+        assert tables.tolist() == [[marker if t is None else t for t in row]
+                                   for row in oracle]
+        assert graph.fill_numbers(rows).tolist() == expected[0].tolist()
+        for faces, reference in zip(sets, expected[1]):
+            result = fill_number(x, faces, graph=graph)
+            assert result.witness == reference.witness
+            assert result.states_visited == reference.states_visited
+            assert result.exact == reference.exact
+
+
 def test_fill_numbers_raise_for_the_first_unfillable_row():
     # a Steiner triple system on 7 points, with one more triangle: every edge
     # lies in a triangle, but (4, 5, 0) is a gallery component of its own
