@@ -61,11 +61,10 @@ def run_case(case: str) -> dict:
     if case == "eval80":
         x = linial_meshulam(LmParams(80, 0.2, 1, seed=1))
         start = time.perf_counter()
-        hyp = compute_hypotheses(x, 1)
+        compute_hypotheses(x, 1)
         out["hypotheses_s"] = time.perf_counter() - start
         start = time.perf_counter()
-        evaluate_distortion(x, vertex_set_family(x, 1), Embedding.gaussian(80, 4, seed=1),
-                            hypotheses=hyp)
+        evaluate_distortion(x, vertex_set_family(x, 1), Embedding.gaussian(80, 4, seed=1))
         out["eval_s"] = time.perf_counter() - start
     elif case in ("tables80", "tables120"):
         n, p = (80, 0.2) if case == "tables80" else (120, 0.15)

@@ -21,6 +21,7 @@ from .complexes import (
     DegreeError,
     NotPureError,
     SimplicialComplex,
+    _read_only,
     sort_with_sign,
 )
 
@@ -132,18 +133,18 @@ def differential_matrix(complex_: SimplicialComplex, k: int) -> sparse.csr_matri
     """
     if k < 0 or k > complex_.dim:
         raise DegreeError(f"degree {k} outside 0..{complex_.dim}")
-    cached = complex_._differentials.get(k)
-    if cached is not None:
-        return cached
-    cols, signs = _coboundary_entries(complex_, k)
-    mat = sparse.csr_matrix(
-        (np.tile(signs, len(cols)), cols.ravel(), np.arange(0, cols.size + 1, k + 2)),
-        shape=(len(cols), complex_.simplex_count(k)),
-    )
-    for arr in (mat.data, mat.indices, mat.indptr):
-        arr.flags.writeable = False
-    complex_._differentials[k] = mat
-    return mat
+
+    def build():
+        cols, signs = _coboundary_entries(complex_, k)
+        mat = sparse.csr_matrix(
+            (np.tile(signs, len(cols)), cols.ravel(), np.arange(0, cols.size + 1, k + 2)),
+            shape=(len(cols), complex_.simplex_count(k)),
+        )
+        for arr in (mat.data, mat.indices, mat.indptr):
+            arr.flags.writeable = False
+        return mat
+
+    return complex_._cached(("differential", k), build)
 
 
 def differential(complex_: SimplicialComplex, phi: Cochain) -> Cochain:
@@ -225,7 +226,7 @@ def upper_laplacian(complex_: SimplicialComplex, k: int) -> UpperLaplacian:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectralResult:
     """Eigenvalues of an upper Laplacian with a verified zero/nonzero split."""
 
@@ -255,7 +256,14 @@ def spectrum(
     The tolerance-based zero count is cross-checked against the exact kernel
     dimension from integer rank; a mismatch raises SpectralMismatchError
     instead of reporting a spectral gap that may be a numerical artifact.
+    Solved once per complex, degree and tolerance; the shared result is
+    frozen and its eigenvalues are read-only.
     """
+    return complex_._cached(("spectrum", k, tolerance),
+                            lambda: _solve_spectrum(complex_, k, tolerance))
+
+
+def _solve_spectrum(complex_: SimplicialComplex, k: int, tolerance: float) -> SpectralResult:
     lap = upper_laplacian(complex_, k)
     n_k = lap.dim
     kernel_dim = n_k - _coboundary_rank(complex_, k)
@@ -272,7 +280,7 @@ def spectrum(
             )
         nonzero = eigenvalues[eigenvalues > tolerance]
         lam = float(nonzero[0]) if nonzero.size else None
-        return SpectralResult(eigenvalues, zero_multiplicity, lam, tolerance, True)
+        return SpectralResult(_read_only(eigenvalues), zero_multiplicity, lam, tolerance, True)
 
     # Iterative path: only the least nonzero eigenvalue. The known kernel is
     # the image of S = W^{1/2} d_{k-1} (the sqrt(w) column at k=0); the shift
@@ -317,7 +325,7 @@ def spectrum(
             f"iterative solve found {int(np.sum(vals <= tolerance))} of {h + 1} "
             f"eigenvalues below {tolerance} after deflation; expected {h}"
         )
-    return SpectralResult(np.array([lam]), kernel_dim, lam, tolerance, False)
+    return SpectralResult(_read_only(np.array([lam])), kernel_dim, lam, tolerance, False)
 
 
 # -- exact rank ---------------------------------------------------------------
@@ -453,17 +461,16 @@ def _coboundary_rank(complex_: SimplicialComplex, k: int) -> int:
     those of `differential_matrix`, taken from the facet table without
     building it. Ranked once per complex and degree.
     """
-    rank = complex_._ranks.get(k)
-    if rank is None:
+    def build():
         through = int(np.searchsorted(complex_.simplex_rows(k)[:, 0], 1))
         cols, signs = _coboundary_entries(complex_, k)
         rows, at = np.nonzero(cols >= through)
-        rank = _entries_rank(
+        return _entries_rank(
             rows, cols[rows, at] - through, signs[at],
             (len(cols), complex_.simplex_count(k) - through),
         )
-        complex_._ranks[k] = rank
-    return rank
+
+    return complex_._cached(("rank", k), build)
 
 
 def cohomology_dim(complex_: SimplicialComplex, k: int) -> int:

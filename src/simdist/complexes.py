@@ -131,8 +131,7 @@ class SimplicialComplex:
     """
 
     __slots__ = ("dim", "labels", "_label_to_id", "_rows", "_facets", "_tuples",
-                 "_indexes", "_cofaces", "_weights", "_pure", "_differentials",
-                 "_ranks", "_gallery_labels")
+                 "_indexes", "_cofaces", "_weights", "_pure", "_cache", "__weakref__")
 
     def __init__(self, generating_simplices, *, allow_empty: bool = False):
         self._build(_generating_rows(generating_simplices), allow_empty)
@@ -211,12 +210,7 @@ class SimplicialComplex:
             up = sums[indptr[1:]] - sums[indptr[:-1]] + int(k == self.dim)
             self._weights.insert(0, up.tolist())
         self._pure = all(min(level, default=1) > 0 for level in self._weights)
-        # incidence matrices by degree, filled by cochains.differential_matrix
-        self._differentials: dict = {}
-        # exact ranks of d_k by degree, filled by cochains._coboundary_rank
-        self._ranks: dict = {}
-        # gallery component labels by degree, filled by gallery._incidence_components
-        self._gallery_labels: dict = {}
+        self._cache: dict = {}
 
     # -- basic queries ------------------------------------------------------
 
@@ -344,6 +338,17 @@ class SimplicialComplex:
             raise NotPureError("weights are only defined on pure complexes")
         s = _canonical(simplex)
         return self._weights[len(s) - 1][self.index_of(s)]
+
+    def _cached(self, key: tuple, build):
+        """The derived value kept under `key`, made by `build()` on first use.
+
+        Other modules keep what they derive from the complex here, keyed by
+        (quantity, degree, ...). A kept value must not reference the complex:
+        a cycle would hold every complex until the cycle collector runs.
+        """
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     # -- labels -------------------------------------------------------------
 

@@ -128,8 +128,8 @@ def compute_hypotheses(
     verified spectral gap at level k. Degenerate instances (no k-simplices or
     no (k+1)-simplices) report the corresponding flags as failing.
 
-    Each coboundary is ranked once: the spectrum and the cohomology
-    dimension share the complex's rank cache."""
+    Reads what the complex keeps: each coboundary is ranked once, and the
+    spectrum is solved once per tolerance, however often this is called."""
     pure = complex_.is_pure
     if k > complex_.dim:
         return HypothesisReport(k, pure, False, True, None, None, tolerance)
@@ -261,14 +261,13 @@ def cochain_energy_inequality(
     family: BoundaryFamily,
     phi: Cochain,
     *,
-    hypotheses: HypothesisReport | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> InequalityCheck:
     """Margin of ||d phi||^2 >= (l*lambda/s) * sum over members of the squared
     boundary pairing. Hypothesis failures are reported, not asserted."""
     if phi.k != family.k:
         raise DegreeError("cochain degree must match the family dimension")
-    hyp = hypotheses or compute_hypotheses(complex_, family.k, tolerance)
+    hyp = compute_hypotheses(complex_, family.k, tolerance)
     applicable = hyp.all_hold(require_gallery=False)
     lhs = rhs = margin = None
     l_value = None
@@ -291,7 +290,6 @@ def projection_volume_inequality(
     family: BoundaryFamily,
     embedding: Embedding,
     *,
-    hypotheses: HypothesisReport | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> InequalityCheck:
     """Margin of sum over (k+1)-simplices of m * volume(boundary image)^2
@@ -299,7 +297,7 @@ def projection_volume_inequality(
     k = family.k
     if embedding.num_vertices != complex_.num_vertices:
         raise GeometryError("embedding does not cover the vertex set")
-    hyp = hypotheses or compute_hypotheses(complex_, k, tolerance)
+    hyp = compute_hypotheses(complex_, k, tolerance)
     applicable = hyp.all_hold(require_gallery=True)
     lhs = rhs = margin = None
     l_value = None
@@ -397,7 +395,6 @@ def distortion_lower_bound(
     complex_: SimplicialComplex,
     family: BoundaryFamily,
     *,
-    hypotheses: HypothesisReport | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> DistortionBound:
     """Evaluate the counting/spectral lower bound for the family's distortion.
@@ -410,7 +407,7 @@ def distortion_lower_bound(
     """
     k = family.k
     n = complex_.dim
-    hyp = hypotheses or compute_hypotheses(complex_, k, tolerance)
+    hyp = compute_hypotheses(complex_, k, tolerance)
     applicable = hyp.all_hold(require_gallery=True)
     d_max = _max_gallery_degree(complex_, k)
     num_k = complex_.simplex_count(k)
@@ -513,7 +510,6 @@ def evaluate_distortion(
     embedding: Embedding,
     *,
     tolerance: float = DEFAULT_TOLERANCE,
-    hypotheses: HypothesisReport | None = None,
     include_bound: bool = True,
     keep_members: bool = False,
 ) -> DistortionReport:
@@ -526,7 +522,7 @@ def evaluate_distortion(
     k = family.k
     if embedding.num_vertices != complex_.num_vertices:
         raise GeometryError("embedding does not cover the vertex set")
-    hyp = hypotheses or compute_hypotheses(complex_, k, tolerance)
+    hyp = compute_hypotheses(complex_, k, tolerance)
 
     tops = complex_.simplex_rows(k + 1)
     present = np.sort(_row_keys(family.vertex_sets))
@@ -551,9 +547,7 @@ def evaluate_distortion(
 
     bound = None
     if include_bound:
-        bound = distortion_lower_bound(
-            complex_, family, hypotheses=hyp, tolerance=tolerance
-        )
+        bound = distortion_lower_bound(complex_, family, tolerance=tolerance)
 
     if infinite:
         backward = distortion = None
@@ -767,9 +761,7 @@ def lm_distortion_experiment(
         try:
             embedding = spec.realize(complex_, trial)
             family = vertex_set_family(complex_, k)
-            report = evaluate_distortion(
-                complex_, family, embedding, tolerance=tolerance, hypotheses=hyp,
-            )
+            report = evaluate_distortion(complex_, family, embedding, tolerance=tolerance)
         except (UnfillableError, NotPureError, GeometryError):
             # degenerate sample: hypotheses cannot all hold; keep the trial
             # as data with empty measurements
@@ -896,17 +888,14 @@ def verify_instance(
         margins = []
         for _ in range(num_random_cochains):
             phi = random_cochain(complex_, k, rng)
-            check = cochain_energy_inequality(
-                complex_, family, phi, hypotheses=hyp, tolerance=tolerance
-            )
+            check = cochain_energy_inequality(complex_, family, phi, tolerance=tolerance)
             margins.append((check.margin, check.lhs))
         energy_ok = all(m >= -1e-8 * (abs(lhs) + 1.0) for m, lhs in margins)
         report["checks"]["energy_margin_min"] = min(m for m, _ in margins)
         ok &= energy_ok
         if embedding is not None and hyp.gallery_connected:
-            check = projection_volume_inequality(
-                complex_, family, embedding, hypotheses=hyp, tolerance=tolerance
-            )
+            check = projection_volume_inequality(complex_, family, embedding,
+                                                 tolerance=tolerance)
             volume_ok = check.margin is not None and check.margin >= -1e-8 * (
                 abs(check.lhs) + 1.0
             )

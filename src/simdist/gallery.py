@@ -56,8 +56,8 @@ class UnfillableError(ValueError):
 
 
 def _face_neighbours(complex_: SimplicialComplex, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The face graph as CSR arrays (indptr, indices): k-faces are adjacent
-    when one (k+1)-simplex holds both.
+    """The face graph as CSR arrays (indptr, indices), kept on the complex
+    per k: k-faces are adjacent when one (k+1)-simplex holds both.
 
     Face f's neighbours are the other facets of each of its cofaces, coface
     by coface. Two distinct k-faces lie in at most one (k+1)-simplex, their
@@ -65,21 +65,16 @@ def _face_neighbours(complex_: SimplicialComplex, k: int) -> tuple[np.ndarray, n
     only neighbour, so that no row is empty: `np.bitwise_or.reduceat` would
     give an empty row the first entry of the next.
     """
-    indptr, cofaces = complex_.coface_csr(k)
-    sizes = np.diff(indptr)
-    facets = complex_.facet_table(k + 1)[cofaces]
-    others = facets[facets != np.repeat(np.arange(len(sizes)), sizes)[:, None]]
-    lone = np.flatnonzero(sizes == 0)
-    return (np.concatenate([[0], np.cumsum(np.maximum(sizes * (k + 1), 1))]),
-            np.insert(others, indptr[lone] * (k + 1), lone))
+    def build():
+        indptr, cofaces = complex_.coface_csr(k)
+        sizes = np.diff(indptr)
+        facets = complex_.facet_table(k + 1)[cofaces]
+        others = facets[facets != np.repeat(np.arange(len(sizes)), sizes)[:, None]]
+        lone = np.flatnonzero(sizes == 0)
+        return (np.concatenate([[0], np.cumsum(np.maximum(sizes * (k + 1), 1))]),
+                np.insert(others, indptr[lone] * (k + 1), lone))
 
-
-def _face_graph(complex_: SimplicialComplex, k: int) -> sparse.csr_matrix:
-    """The face graph of `_face_neighbours` as a scipy matrix for csgraph,
-    which would convert any dtype other than float64 on every call."""
-    indptr, indices = _face_neighbours(complex_, k)
-    size = len(indptr) - 1
-    return sparse.csr_matrix((np.ones(len(indices)), indices, indptr), shape=(size, size))
+    return complex_._cached(("face neighbours", k), build)
 
 
 def _incidence_components(
@@ -92,8 +87,7 @@ def _incidence_components(
     distinct k-faces, share a component iff a gallery joins them; a k-face in
     no (k+1)-simplex is a component of its own.
     """
-    cached = complex_._gallery_labels.get(k)
-    if cached is None:
+    def build():
         indptr, indices = complex_.coface_csr(k)
         n_faces = len(indptr) - 1
         size = n_faces + complex_.simplex_count(k + 1)
@@ -105,21 +99,20 @@ def _incidence_components(
         )
         count, labels = csgraph.connected_components(incidence, directed=False)
         labels.flags.writeable = False
-        cached = complex_._gallery_labels[k] = (
-            count, labels[:n_faces], labels[n_faces:]
-        )
-    return cached
+        return count, labels[:n_faces], labels[n_faces:]
+
+    return complex_._cached(("gallery labels", k), build)
 
 
 class GalleryGraph:
-    """Adjacency among (k+1)-simplices sharing a k-face, as one sorted CSR.
+    """Adjacency among (k+1)-simplices sharing a k-face, as one CSR.
 
     With B the k-face x (k+1)-simplex incidence, the adjacency is B^T B
     minus its diagonal: two distinct (k+1)-simplices share at most one k-face.
-    The adjacency is built on first use. The face graph, the k-faces
-    adjacent when one node holds both, is kept as numpy CSR arrays for the
-    bit-parallel search of `face_tables`; `face_graph` is the same graph as
-    a scipy matrix, also built on first use.
+    The face graph, the k-faces adjacent when one node holds both, is read
+    as numpy CSR arrays by the bit-parallel search of `face_tables`;
+    `face_graph` is the same graph as a scipy matrix. Each is built on first
+    use and kept on the complex per k, so a graph is cheap to make.
     """
 
     def __init__(self, complex_: SimplicialComplex, k: int):
@@ -128,9 +121,7 @@ class GalleryGraph:
         self.complex = complex_
         self.k = k
         self.num_nodes = complex_.simplex_count(k + 1)
-        self._incidence_count, self._face_components, self.components = (
-            _incidence_components(complex_, k)
-        )
+        _, self._face_components, self.components = _incidence_components(complex_, k)
         indptr, self._face_indices = _face_neighbours(complex_, k)
         self._face_starts = indptr[:-1]
         self._face_count = len(self._face_starts)
@@ -138,28 +129,42 @@ class GalleryGraph:
 
     @cached_property
     def _adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The node adjacency's indptr, indices and row lengths, built on
-        first use: only the Dreyfus-Wagner search and the witness walk of
-        `fill_number` step from node to node."""
-        indptr, indices = self.complex.coface_csr(self.k)
-        incidence = sparse.csr_matrix(
-            (np.ones(len(indices), dtype=np.int32), indices, indptr),
-            shape=(len(indptr) - 1, self.num_nodes),
-        )
-        # B^T B is symmetric, so its CSC arrays are also its CSR arrays
-        shared = incidence.T @ incidence
-        shared.setdiag(0)
-        shared.eliminate_zeros()
-        shared.sort_indices()
-        # intp arrays index faster than scipy's int32
-        indptr = shared.indptr.astype(np.intp)
-        return indptr, shared.indices.astype(np.intp), np.diff(indptr)
+        """The node adjacency's indptr, indices and row lengths. Rows are in
+        no particular order. Only the Dreyfus-Wagner search and the witness
+        walk of `fill_number` step from node to node."""
+        complex_, k = self.complex, self.k
+
+        def build():
+            indptr, indices = complex_.coface_csr(k)
+            incidence = sparse.csr_matrix(
+                (np.ones(len(indices), dtype=np.int32), indices, indptr),
+                shape=(len(indptr) - 1, complex_.simplex_count(k + 1)),
+            )
+            # B^T B is symmetric, so its CSC arrays are also its CSR arrays
+            shared = incidence.T @ incidence
+            shared.setdiag(0)
+            shared.eliminate_zeros()
+            # intp arrays index faster than scipy's int32
+            indptr = shared.indptr.astype(np.intp)
+            return indptr, shared.indices.astype(np.intp), np.diff(indptr)
+
+        return complex_._cached(("node adjacency", k), build)
 
     @cached_property
     def face_graph(self) -> sparse.csr_matrix:
-        """The face graph for csgraph: single-source distances and the
-        sources that `face_tables` leaves to breadth-first search."""
-        return _face_graph(self.complex, self.k)
+        """The face graph for csgraph, which would convert any dtype other
+        than float64 on every call: single-source distances and the sources
+        that `face_tables` leaves to breadth-first search."""
+        complex_, k = self.complex, self.k
+
+        def build():
+            indptr, indices = _face_neighbours(complex_, k)
+            size = len(indptr) - 1
+            return sparse.csr_matrix(
+                (np.ones(len(indices)), indices, indptr), shape=(size, size)
+            )
+
+        return complex_._cached(("face graph", k), build)
 
     @property
     def nodes(self) -> list[tuple[int, ...]]:
@@ -335,9 +340,7 @@ class GalleryGraph:
         apart = (labels != labels[:, :1]).any(axis=1)
         if apart.any():
             simplices = self.complex.simplices(self.k)
-            fill_number(
-                self.complex, [simplices[i] for i in faces[apart.argmax()]], graph=self
-            )
+            fill_number(self.complex, [simplices[i] for i in faces[apart.argmax()]])
         used, where = np.unique(faces, return_inverse=True)
         tables = self.face_tables(used)
         where = where.reshape(faces.shape)
@@ -366,30 +369,14 @@ class GalleryGraph:
         return fills
 
 
-def _graph_at(complex_: SimplicialComplex, face: tuple, graph: GalleryGraph | None):
-    """The gallery graph at the dimension of `face`: `graph`, or a new one."""
-    k = len(face) - 1
-    if graph is None:
-        return GalleryGraph(complex_, k)
-    if graph.k != k:
-        raise DegreeError(f"{face!r} is not a {graph.k}-simplex")
-    return graph
-
-
-def _face_distances(
-    complex_: SimplicialComplex, face: tuple, graph: GalleryGraph | None
-) -> np.ndarray:
+def _face_distances(complex_: SimplicialComplex, face: tuple) -> np.ndarray:
     """Face-graph distances from a k-face to every k-face, inf when unreached.
 
     A gallery of m simplices passes through m + 1 faces, each two
     consecutive ones in one simplex, so between distinct faces this is the
-    gallery distance. One breadth-first search over `graph`'s face graph,
-    or over a new one when no graph is given.
+    gallery distance. One breadth-first search over the face graph.
     """
-    if graph is None:
-        face_graph = _face_graph(complex_, len(face) - 1)
-    else:
-        face_graph = _graph_at(complex_, face, graph).face_graph
+    face_graph = GalleryGraph(complex_, len(face) - 1).face_graph
     return csgraph.shortest_path(
         face_graph, unweighted=True, indices=complex_.index_of(face)
     )
@@ -399,9 +386,7 @@ def _length(dist: float):
     return INF if dist == INF else int(dist)
 
 
-def gallery_distance(
-    complex_: SimplicialComplex, eta0, eta1, *, graph: GalleryGraph | None = None
-):
+def gallery_distance(complex_: SimplicialComplex, eta0, eta1):
     """Minimal gallery length joining two k-simplices; inf when none exists."""
     s0 = tuple(sorted(eta0))
     s1 = tuple(sorted(eta1))
@@ -411,12 +396,10 @@ def gallery_distance(
     i1 = complex_.index_of(s1)
     if s0 == s1:
         return 0
-    return _length(_face_distances(complex_, s0, graph)[i1])
+    return _length(_face_distances(complex_, s0)[i1])
 
 
-def is_gallery_connected(
-    complex_: SimplicialComplex, k: int, *, graph: GalleryGraph | None = None
-) -> bool:
+def is_gallery_connected(complex_: SimplicialComplex, k: int) -> bool:
     """True iff every pair of k-simplices is joined by a (k+1)-gallery.
 
     That is, some (k+1)-simplex exists and the face-coface incidence is one
@@ -427,25 +410,19 @@ def is_gallery_connected(
         raise DegreeError(f"degree {k} outside 0..{complex_.dim}")
     if complex_.simplex_count(k + 1) == 0:
         return False
-    if graph is not None:
-        return graph._incidence_count == 1
     return _incidence_components(complex_, k)[0] == 1
 
 
-def gallery_distances_from(
-    complex_: SimplicialComplex, tau, *, graph: GalleryGraph | None = None
-) -> dict[tuple, float]:
+def gallery_distances_from(complex_: SimplicialComplex, tau) -> dict[tuple, float]:
     """Gallery distances from one k-simplex to every k-simplex."""
     face = tuple(sorted(tau))
-    dists = _face_distances(complex_, face, graph).tolist()
+    dists = _face_distances(complex_, face).tolist()
     return dict(zip(complex_.simplices(len(face) - 1), map(_length, dists)))
 
 
-def gallery_ball_sizes(
-    complex_: SimplicialComplex, tau, r_max: int, *, graph: GalleryGraph | None = None
-) -> list[int]:
+def gallery_ball_sizes(complex_: SimplicialComplex, tau, r_max: int) -> list[int]:
     """|B(tau, r)| for r = 0..r_max under the gallery distance."""
-    dists = gallery_distances_from(complex_, tau, graph=graph)
+    dists = gallery_distances_from(complex_, tau)
     return [sum(1 for d in dists.values() if d <= r) for r in range(r_max + 1)]
 
 
@@ -491,12 +468,7 @@ def _splits(subset: int):
         part = (part - 1) & subset
 
 
-def fill_number(
-    complex_: SimplicialComplex,
-    faces,
-    *,
-    graph: GalleryGraph | None = None,
-) -> FillResult:
+def fill_number(complex_: SimplicialComplex, faces) -> FillResult:
     """Minimal number of (k+1)-simplices gallery-connecting every pair of faces.
 
     A star is a clique of the gallery graph, so the simplices a filling takes
@@ -516,7 +488,7 @@ def fill_number(
     if len(face_set) <= 1:
         return FillResult(0, 0, 0, ())
     k = len(face_set[0]) - 1
-    graph = _graph_at(complex_, face_set[0], graph)
+    graph = GalleryGraph(complex_, k)
 
     stars = []
     for f, i in zip(face_set, face_ids):
@@ -573,7 +545,7 @@ def fill_number(
         elif value > 1:
             indptr, indices, _ = graph._adjacency
             row = indices[indptr[v]:indptr[v + 1]]
-            stack.append((subset, int(row[tree[subset][row] == value - 1][0])))
+            stack.append((subset, int(row[tree[subset][row] == value - 1].min())))
     witness = tuple(graph.nodes[v] for v in sorted(chosen))
     return FillResult(exact, exact, exact, witness, False, len(merged))
 

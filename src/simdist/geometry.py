@@ -69,7 +69,7 @@ class OrientedBoundary:
 
     __slots__ = ("k", "faces")
 
-    def __init__(self, k: int, faces, *, validate: bool = True):
+    def __init__(self, k: int, faces):
         clean = []
         seen = set()
         for simplex, sign in faces:
@@ -84,7 +84,7 @@ class OrientedBoundary:
             clean.append((s, int(sign)))
         self.k = k
         self.faces = tuple(clean)
-        if validate and not self.is_closed():
+        if not self.is_closed():
             raise NotClosedError("signed faces do not form a closed boundary")
 
     def is_closed(self) -> bool:

@@ -205,18 +205,13 @@ def test_criterion_03_degree_zero_reductions():
 
         for index, (params, complex_, dist) in enumerate(instances):
             n = complex_.num_vertices
-            graph = GalleryGraph(complex_, 0)
             emb = Embedding.gaussian(n, 4, seed=5000 + index)
             # combinatorial parts: zero tolerance
             for u in range(n):
                 for v in range(u, n):
-                    assert gallery_distance(
-                        complex_, (u,), (v,), graph=graph
-                    ) == dist[u][v]
+                    assert gallery_distance(complex_, (u,), (v,)) == dist[u][v]
             for u, v in list(combinations(range(n), 2))[:: max(1, n // 4)]:
-                assert fill_number(complex_, [(u,), (v,)], graph=graph).exact == (
-                    dist[u][v]
-                )
+                assert fill_number(complex_, [(u,), (v,)]).exact == dist[u][v]
             # pair volumes are Euclidean distances
             for u, v in list(combinations(range(n), 2))[:: max(1, n // 3)]:
                 volume = enclosed_projection_volume(
@@ -372,9 +367,7 @@ def test_criterion_06_spectral_inequalities(verified_complexes):
             family = vertex_set_family(complex_, 1)
             for _ in range(10):
                 phi = random_cochain(complex_, 1, rng)
-                check = cochain_energy_inequality(
-                    complex_, family, phi, hypotheses=hyp
-                )
+                check = cochain_energy_inequality(complex_, family, phi)
                 assert check.applicable
                 assert check.margin >= -1e-8 * (abs(check.lhs) + 1.0)
             for j in range(5):
@@ -382,9 +375,7 @@ def test_criterion_06_spectral_inequalities(verified_complexes):
                 emb = Embedding.gaussian(
                     complex_.num_vertices, m, seed=params.seed * 10 + j
                 )
-                check = projection_volume_inequality(
-                    complex_, family, emb, hypotheses=hyp
-                )
+                check = projection_volume_inequality(complex_, family, emb)
                 assert check.applicable
                 assert check.margin >= -1e-8 * (abs(check.lhs) + 1.0)
 
@@ -447,15 +438,15 @@ def test_criterion_07_fill_oracle_equivalence(small_fill_corpus):
             # boundary of every top simplex fills with exactly that simplex
             for sigma in complex_.simplices(k + 1):
                 faces = list(combinations(sigma, k + 1))
-                assert fill_number(complex_, faces, graph=graph).exact == 1
+                assert fill_number(complex_, faces).exact == 1
             for subset in combinations(range(complex_.num_vertices), k + 2):
                 faces = list(combinations(subset, k + 1))
                 expected = _brute_force_fill(complex_, graph, faces)
                 if expected is None:
                     with pytest.raises(UnfillableError):
-                        fill_number(complex_, faces, graph=graph)
+                        fill_number(complex_, faces)
                 else:
-                    result = fill_number(complex_, faces, graph=graph)
+                    result = fill_number(complex_, faces)
                     assert result.exact == expected
                     assert result.lower <= result.exact <= result.upper
 
@@ -470,8 +461,7 @@ def test_criterion_08_counting_bound_and_balls(small_fill_corpus):
             k = params.k
             if complex_.simplex_count(k + 1) == 0:
                 continue
-            graph = GalleryGraph(complex_, k)
-            if not is_gallery_connected(complex_, k, graph=graph):
+            if not is_gallery_connected(complex_, k):
                 continue
             d_max = max(
                 len(complex_.coface_indices(k, i))
@@ -488,13 +478,13 @@ def test_criterion_08_counting_bound_and_balls(small_fill_corpus):
             best_fill = 0
             for subset in combinations(range(complex_.num_vertices), k + 2):
                 faces = list(combinations(subset, k + 1))
-                result = fill_number(complex_, faces, graph=graph)
+                result = fill_number(complex_, faces)
                 best_fill = max(best_fill, result.exact)
             assert best_fill >= bound
             # ball premise
             r_max = 4
             for eta in complex_.simplices(k):
-                sizes = gallery_ball_sizes(complex_, eta, r_max, graph=graph)
+                sizes = gallery_ball_sizes(complex_, eta, r_max)
                 for r, size in enumerate(sizes):
                     assert size <= base ** (r + 1)
             tested += 1
@@ -508,7 +498,7 @@ def test_criterion_09_second_factor_cap(verified_complexes):
     with criterion(9, "second factor ≤ sqrt(2(k+2)λ) and exact counting chain"):
         for params, complex_, hyp in verified_complexes[:25]:
             family = vertex_set_family(complex_, 1)
-            bound = distortion_lower_bound(complex_, family, hypotheses=hyp)
+            bound = distortion_lower_bound(complex_, family)
             assert bound.applicable
             assert bound.second_factor <= bound.second_factor_cap * (1 + 1e-9)
             assert bound.counting_chain_ok
@@ -542,9 +532,7 @@ def test_criterion_10_end_to_end_consistency():
                 continue
             family = vertex_set_family(complex_, 1)
             emb = Embedding.gaussian(n, 5, seed=seed + 9000)
-            report = evaluate_distortion(
-                complex_, family, emb, hypotheses=hyp
-            )
+            report = evaluate_distortion(complex_, family, emb)
             assert report.exact_fill  # fills pinned exactly
             assert not report.infinite
             bound = report.bound

@@ -165,28 +165,32 @@ def test_iterative_gap_matches_dense(monkeypatch):
     # must keep those kernel directions at zero and still find the gap above
     # them. At k=2, and on two components, the dependent columns of d_{k-1}
     # are spread through the matrix rather than last.
-    samples = [
-        (complete_complex(8, 1), 0),
-        (linial_meshulam(LmParams(9, 0.9, 1, seed=6)), 1),
-        (_annulus(10), 1),
-        (linial_meshulam(LmParams(10, 0.3, 1, seed=15)), 1),
-        (linial_meshulam(LmParams(12, 0.5, 2, seed=1)), 2),
-        (linial_meshulam(LmParams(16, 0.5, 2, seed=1)), 2),
-        (_two_components(8, 0.6, 1, seed=1), 1),
-        (_two_components(7, 0.7, 2, seed=1), 2),
-    ]
-    dense = [spectrum(x, k) for x, k in samples]
-    flags = [compute_hypotheses(x, k).flags_string() for x, k in samples]
+    # a complex keeps its spectrum, so every call gets a fresh complex
+    def samples():
+        return [
+            (complete_complex(8, 1), 0),
+            (linial_meshulam(LmParams(9, 0.9, 1, seed=6)), 1),
+            (_annulus(10), 1),
+            (linial_meshulam(LmParams(10, 0.3, 1, seed=15)), 1),
+            (linial_meshulam(LmParams(12, 0.5, 2, seed=1)), 2),
+            (linial_meshulam(LmParams(16, 0.5, 2, seed=1)), 2),
+            (_two_components(8, 0.6, 1, seed=1), 1),
+            (_two_components(7, 0.7, 2, seed=1), 2),
+        ]
+
+    dense = [spectrum(x, k) for x, k in samples()]
+    flags = [compute_hypotheses(x, k).flags_string() for x, k in samples()]
+    assert all(reference.dense for reference in dense)
     assert flags[2] == "1101"
     monkeypatch.setattr(cochains_module, "DENSE_EIGENSOLVE_LIMIT", 1)
-    for (x, k), reference, flag in zip(samples, dense, flags):
+    for (x, k), (y, _), reference, flag in zip(samples(), samples(), dense, flags):
         result = spectrum(x, k)
         assert not result.dense
         assert result.zero_multiplicity == reference.zero_multiplicity
         assert result.lambda_min_nonzero == pytest.approx(
             reference.lambda_min_nonzero, rel=1e-10
         )
-        assert compute_hypotheses(x, k).flags_string() == flag
+        assert compute_hypotheses(y, k).flags_string() == flag
 
 
 def test_iterative_tolerance_mismatch_is_hard_error(monkeypatch):
@@ -225,11 +229,23 @@ def test_hypotheses_rank_each_coboundary_once(monkeypatch, limit):
 
 def test_iterative_spectrum_is_deterministic(monkeypatch):
     monkeypatch.setattr(cochains_module, "DENSE_EIGENSOLVE_LIMIT", 100)
-    x = linial_meshulam(LmParams(20, 0.5, 1, seed=1))
-    first = spectrum(x, 1)
-    second = spectrum(x, 1)
+    # a complex keeps its spectrum, so each call gets a fresh complex
+    first = spectrum(linial_meshulam(LmParams(20, 0.5, 1, seed=1)), 1)
+    second = spectrum(linial_meshulam(LmParams(20, 0.5, 1, seed=1)), 1)
     assert not first.dense
+    assert first is not second
     assert first.lambda_min_nonzero == second.lambda_min_nonzero
+
+
+def test_spectrum_is_kept_per_tolerance():
+    x = complete_complex(6, 2)
+    loose, tight = spectrum(x, 1, 1e-6), spectrum(x, 1, 1e-10)
+    assert loose is not tight
+    assert (loose.tolerance, tight.tolerance) == (1e-6, 1e-10)
+    assert spectrum(x, 1, tolerance=1e-6) is loose
+    assert np.array_equal(loose.eigenvalues, tight.eigenvalues)
+    with pytest.raises(ValueError):
+        loose.eigenvalues[0] = 1.0
 
 
 def test_spectrum_eigenvalue_range():

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
@@ -31,6 +33,7 @@ from simdist.distortion import (
     verify_instance,
     vertex_set_family,
 )
+from simdist.gallery import fill_number, gallery_distance
 from simdist.geometry import (
     Embedding,
     enclosed_projection_volume,
@@ -117,7 +120,7 @@ def test_energy_rhs_matches_pairing_reference():
     for x, k, hyp, families in _reference_families():
         for family in families:
             phi = random_cochain(x, k, rng)
-            check = cochain_energy_inequality(x, family, phi, hypotheses=hyp)
+            check = cochain_energy_inequality(x, family, phi)
             coefficient = check.l * check.lam / check.s
             total = 0.0
             for row in family.vertex_sets.tolist():
@@ -131,7 +134,7 @@ def test_distortion_volumes_match_scalar_kernel():
         emb = Embedding.gaussian(x.num_vertices, 4, seed=k)
         for family in families:
             report = evaluate_distortion(
-                x, family, emb, hypotheses=hyp, include_bound=False,
+                x, family, emb, include_bound=False,
                 keep_members=True,
             )
             rows = family.vertex_sets.tolist()
@@ -216,11 +219,10 @@ def test_gauge_invariance():
 def test_energy_inequality_complete_complex():
     x = complete_complex(6, 2)
     family = vertex_set_family(x, 1)
-    hyp = compute_hypotheses(x, 1)
     rng = _rng(6)
     for _ in range(10):
         phi = random_cochain(x, 1, rng)
-        check = cochain_energy_inequality(x, family, phi, hypotheses=hyp)
+        check = cochain_energy_inequality(x, family, phi)
         assert check.applicable
         assert check.margin >= -1e-8 * (abs(check.lhs) + 1.0)
 
@@ -251,10 +253,9 @@ def test_energy_inequality_hypothesis_failure_reported():
 def test_volume_inequality_gaussian():
     x = complete_complex(6, 2)
     family = vertex_set_family(x, 1)
-    hyp = compute_hypotheses(x, 1)
     for seed in range(5):
         emb = Embedding.gaussian(6, 4, seed=seed)
-        check = projection_volume_inequality(x, family, emb, hypotheses=hyp)
+        check = projection_volume_inequality(x, family, emb)
         assert check.applicable
         assert check.margin >= -1e-8 * (abs(check.lhs) + 1.0)
 
@@ -275,7 +276,7 @@ def test_volume_inequality_k0_reduces_to_lengths():
     family = vertex_set_family(x, 0)
     hyp = compute_hypotheses(x, 0)
     emb = Embedding.gaussian(7, 3, seed=11)
-    check = projection_volume_inequality(x, family, emb, hypotheses=hyp)
+    check = projection_volume_inequality(x, family, emb)
     pts = emb.points
     lengths_sq = [
         float(np.sum((pts[a] - pts[b]) ** 2)) for a, b in x.simplices(1)
@@ -331,7 +332,7 @@ def test_bound_second_factor_cap_and_chain():
         if not hyp.all_hold():
             continue
         family = vertex_set_family(x, 1)
-        bound = distortion_lower_bound(x, family, hypotheses=hyp)
+        bound = distortion_lower_bound(x, family)
         assert bound.applicable
         assert bound.counting_chain_ok
         assert bound.second_factor <= bound.second_factor_cap * (1 + 1e-9)
@@ -554,3 +555,24 @@ def test_verify_instance_good_and_bad():
     bad = linial_meshulam(LmParams(8, 0.15, 1, seed=2))
     report = verify_instance(bad, 1, None, seed=1)
     assert not report["hypotheses_ok"]
+
+
+def test_derived_data_holds_no_reference_cycle():
+    # what a complex keeps must not point back at it: with the cycle
+    # collector off, dropping the last reference must free the complex
+    x = linial_meshulam(LmParams(8, 0.6, 2, seed=2))
+    evaluate_distortion(x, vertex_set_family(x, 2), Embedding.gaussian(8, 4, seed=1))
+    assert fill_number(x, list(combinations((0, 1, 2, 5), 3))).exact == 4
+    assert gallery_distance(x, (0, 1, 2), (3, 4, 5)) == 3
+    assert compute_hypotheses(x, 2).gallery_connected
+    assert {key[0] for key in x._cache} >= {
+        "differential", "rank", "spectrum", "gallery labels", "face neighbours",
+        "face graph", "node adjacency",
+    }
+    ref = weakref.ref(x)
+    gc.disable()
+    try:
+        del x
+        assert ref() is None
+    finally:
+        gc.enable()

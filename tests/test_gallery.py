@@ -162,10 +162,9 @@ def test_distance_matches_graph_metric():
 
 def test_metric_properties_exhaustive():
     x = build_complex([(0, 1, 2), (1, 2, 3), (2, 3, 4), (4, 5, 6)])
-    graph = GalleryGraph(x, 1)
     edges = x.simplices(1)
     dist = {
-        (a, b): gallery_distance(x, a, b, graph=graph)
+        (a, b): gallery_distance(x, a, b)
         for a in edges
         for b in edges
     }
@@ -211,10 +210,9 @@ def test_distance_matches_node_bfs():
             graph = GalleryGraph(x, k)
             split += len(set(graph.components)) > 1
             for a in x.simplices(k):
-                row = gallery_distances_from(x, a, graph=graph)
+                row = gallery_distances_from(x, a)
                 for b in x.simplices(k):
                     expected = node_bfs_distance(x, a, b)
-                    assert gallery_distance(x, a, b, graph=graph) == expected
                     assert gallery_distance(x, a, b) == expected
                     assert row[b] == expected
                     seen[expected if expected in (0, 1, INF) else "finite"] += 1
@@ -241,10 +239,9 @@ def test_complete_complex_connected():
         x = complete_complex(k + 3, k + 1)
         assert is_gallery_connected(x, k)
         # exhaustive pairwise oracle for the same statement
-        graph = GalleryGraph(x, k)
         for a in x.simplices(k):
             for b in x.simplices(k):
-                assert gallery_distance(x, a, b, graph=graph) != INF
+                assert gallery_distance(x, a, b) != INF
 
 
 def test_connectivity_requires_coverage():
@@ -265,18 +262,12 @@ def test_incidence_connectivity_matches_gallery_graph():
         for k in range(x.dim + 1):
             expected = gallery_connected_oracle(x, k)
             assert is_gallery_connected(x, k) == expected
-            assert is_gallery_connected(x, k, graph=GalleryGraph(x, k)) == expected
 
 
 def test_degree_validation():
     x = build_complex([(0, 1, 2)])
     with pytest.raises(DegreeError):
         is_gallery_connected(x, 3)
-    vertex_graph = GalleryGraph(x, 0)  # a graph of the wrong degree for edges
-    with pytest.raises(DegreeError):
-        gallery_distance(x, (0, 1), (1, 2), graph=vertex_graph)
-    with pytest.raises(DegreeError):
-        fill_number(x, [(0, 1), (1, 2)], graph=vertex_graph)
 
 
 # -- filling numbers -------------------------------------------------------------
@@ -348,7 +339,7 @@ def test_fill_witness_is_a_filling():
         for sigma in sigmas:
             faces = list(combinations(sigma, params.k + 1))
             try:
-                result = fill_number(x, faces, graph=graph)
+                result = fill_number(x, faces)
             except UnfillableError:
                 continue
             assert len(result.witness) == result.exact
@@ -359,11 +350,10 @@ def test_fill_witness_is_a_filling():
 def test_fill_bounds_meet_on_every_member():
     for params in [LmParams(10, 0.6, 1, seed=17), LmParams(7, 0.6, 2, seed=3)]:
         x = linial_meshulam(params)
-        graph = GalleryGraph(x, params.k)
         for sigma in combinations(range(params.num_vertices), params.k + 2):
             faces = list(combinations(sigma, params.k + 1))
             try:
-                result = fill_number(x, faces, graph=graph)
+                result = fill_number(x, faces)
             except UnfillableError:
                 continue
             assert result.lower == result.upper == result.exact
@@ -376,7 +366,7 @@ def test_fill_k2_member_with_fill_five():
     x = linial_meshulam(LmParams(12, 0.6, 2, seed=1))
     graph = GalleryGraph(x, 2)
     faces = list(combinations((0, 2, 3, 7), 3))
-    result = fill_number(x, faces, graph=graph)
+    result = fill_number(x, faces)
     assert result.exact == result.lower == result.upper == 5
     assert len(result.witness) == 5
     assert connects_every_pair(graph, faces, result.witness)
@@ -419,7 +409,7 @@ def test_fill_numbers_match_fill_number_on_every_member(monkeypatch, block_entri
         fills = graph.fill_numbers(faces)
         simplices = x.simplices(k)
         for row, fill in zip(faces, fills.tolist()):
-            assert fill == fill_number(x, [simplices[i] for i in row], graph=graph).exact
+            assert fill == fill_number(x, [simplices[i] for i in row]).exact
         tables = graph.face_tables(np.arange(len(simplices))).astype(np.int64)
         spider = tables[faces].sum(axis=1).min(axis=1) - (k + 1)
         assert (fills <= spider).all()
@@ -500,7 +490,7 @@ def test_face_search_level_cap_from_both_sides(monkeypatch, levels):
         monkeypatch.setattr(gallery_module, "MSBFS_LEVELS", 0)
         graph = GalleryGraph(x, k)
         expected = (graph.fill_numbers(rows),
-                    [fill_number(x, faces, graph=graph) for faces in sets])
+                    [fill_number(x, faces) for faces in sets])
         monkeypatch.setattr(gallery_module, "MSBFS_LEVELS", levels)
         graph = GalleryGraph(x, k)
         everything = np.arange(len(simplices))
@@ -514,7 +504,7 @@ def test_face_search_level_cap_from_both_sides(monkeypatch, levels):
                                    for row in oracle]
         assert graph.fill_numbers(rows).tolist() == expected[0].tolist()
         for faces, reference in zip(sets, expected[1]):
-            result = fill_number(x, faces, graph=graph)
+            result = fill_number(x, faces)
             assert result.witness == reference.witness
             assert result.states_visited == reference.states_visited
             assert result.exact == reference.exact
@@ -542,7 +532,6 @@ def test_fill_tables_widen_past_uint8():
     assert graph.fill_numbers(ends).tolist() == [300, 275]
     assert fill_number(x, [(0,), (300,)]).exact == 300
     assert gallery_distance(x, (0,), (300,)) == 300
-    assert gallery_distance(x, (0,), (300,), graph=graph) == 300
 
 
 def test_fill_empty_and_singleton():
@@ -557,7 +546,6 @@ def test_neighbor_count_bound():
     for params in [LmParams(9, 0.7, 1, seed=1), LmParams(7, 0.9, 2, seed=2)]:
         x = linial_meshulam(params)
         k = params.k
-        graph = GalleryGraph(x, k)
         d_max = max(
             (len(x.coface_indices(k, i)) for i in range(x.simplex_count(k))),
             default=0,
@@ -565,7 +553,7 @@ def test_neighbor_count_bound():
         tight_hits = 0
         total = 0
         for eta in x.simplices(k):
-            dists = gallery_distances_from(x, eta, graph=graph)
+            dists = gallery_distances_from(x, eta)
             neighbors = sum(1 for v in dists.values() if v == 1)
             assert neighbors <= d_max * (k + 2)
             tight_hits += neighbors <= d_max * max(k, 1)
@@ -579,11 +567,10 @@ def test_ball_size_bound():
     params = LmParams(9, 0.65, 1, seed=4)
     x = linial_meshulam(params)
     k = params.k
-    graph = GalleryGraph(x, k)
     d_max = max(len(x.coface_indices(k, i)) for i in range(x.simplex_count(k)))
     base = d_max * max(k, 1)
     for eta in x.simplices(k)[::7]:
-        sizes = gallery_ball_sizes(x, eta, 4, graph=graph)
+        sizes = gallery_ball_sizes(x, eta, 4)
         for r, size in enumerate(sizes):
             assert size <= base ** (r + 1)
 
