@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sparse
-import scipy.sparse.linalg as sparse_linalg
 
 from .complexes import (
     DegreeError,
@@ -24,6 +23,9 @@ from .complexes import (
     _read_only,
     sort_with_sign,
 )
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "Cochain",
@@ -135,6 +137,8 @@ def differential_matrix(complex_: SimplicialComplex, k: int) -> sparse.csr_matri
         raise DegreeError(f"degree {k} outside 0..{complex_.dim}")
 
     def build():
+        from scipy import sparse
+
         cols, signs = _coboundary_entries(complex_, k)
         mat = sparse.csr_matrix(
             (np.tile(signs, len(cols)), cols.ravel(), np.arange(0, cols.size + 1, k + 2)),
@@ -185,8 +189,9 @@ def adjoint_differential(complex_: SimplicialComplex, psi: Cochain) -> Cochain:
 class UpperLaplacian:
     """d_k* d_k, exposed through the symmetric conjugate W^{1/2} . W^{-1/2}.
 
-    The symmetric matrix has the same spectrum as the operator itself; it is
-    built on first use, since `apply` does not need it.
+    The symmetric matrix has the same spectrum as the operator itself. Its
+    sparse form is built on first use, since `apply` and `dense` do not
+    need it.
     """
 
     complex: SimplicialComplex
@@ -197,6 +202,8 @@ class UpperLaplacian:
 
     @cached_property
     def symmetric(self) -> sparse.csr_matrix:
+        from scipy import sparse
+
         half = sparse.diags(1.0 / np.sqrt(self.weights_k))
         mat = self.boundary
         sym = (half @ mat.T.astype(float) @ sparse.diags(self.weights_k1)
@@ -212,7 +219,21 @@ class UpperLaplacian:
         return (self.boundary.T @ (self.weights_k1 * (self.boundary @ values))) / self.weights_k
 
     def dense(self) -> np.ndarray:
-        return self.symmetric.toarray()
+        """`symmetric` as a dense array, gathered from the facet table.
+
+        Two k-faces share at most one coface, so an off-diagonal entry is one
+        product; the products are rounded as in `symmetric`'s chain, and the
+        diagonal sums run in coface order as its rows do, so the bytes match.
+        """
+        faces, signs = _coboundary_entries(self.complex, self.k)
+        c = 1.0 / np.sqrt(self.weights_k)
+        a = c[faces] * signs * self.weights_k1[:, None]
+        p, q = np.nonzero(~np.eye(self.k + 2, dtype=bool))
+        out = np.zeros((self.dim, self.dim))
+        out[faces[:, p], faces[:, q]] = a[:, p] * signs[q] * c[faces[:, q]]
+        out.flat[::self.dim + 1] = np.bincount(
+            faces.ravel(), (a * signs).ravel(), minlength=self.dim) * c
+        return out
 
 
 def upper_laplacian(complex_: SimplicialComplex, k: int) -> UpperLaplacian:
@@ -287,6 +308,9 @@ def _solve_spectrum(complex_: SimplicialComplex, k: int, tolerance: float) -> Sp
     # lifts it through the exact projector S G^+ S^T, G = S^T S. The h kernel
     # directions outside that image (the cohomology) stay at zero, so the gap
     # is the (h+1)-th smallest eigenvalue of the shifted operator.
+    from scipy import sparse
+    from scipy.sparse import linalg as sparse_linalg
+
     scale = np.sqrt(lap.weights_k)
     if k == 0:
         image, rank_down = sparse.csr_matrix(scale[:, None]), 1
@@ -333,6 +357,8 @@ def _solve_spectrum(complex_: SimplicialComplex, k: int, tolerance: float) -> Sp
 
 def _integer_entries(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
     """Rows, columns and values of the nonzero entries, as int64 arrays."""
+    from scipy import sparse
+
     if not sparse.issparse(matrix):
         matrix = np.atleast_2d(np.asarray(matrix))
     coo = sparse.coo_matrix(matrix)

@@ -104,20 +104,41 @@ def _canonical(vertices) -> tuple[int, ...]:
     return simplex
 
 
-def _generating_rows(simplices) -> list[np.ndarray]:
-    """Generating simplices as int64 arrays of sorted rows, one per size."""
-    rows = [_canonical(s) for s in simplices]
+def _sorted_blocks(simplices: list) -> list[np.ndarray] | None:
+    """Simplices as int64 arrays of sorted rows, one per size, with the labels
+    read as `int` reads them; None unless every simplex is a nonempty sized
+    iterable of distinct labels in the int64 range."""
     try:
-        flat = np.fromiter(chain.from_iterable(rows), dtype=np.int64)
-    except OverflowError:
-        int64 = np.iinfo(np.int64)
-        label = next(v for v in chain.from_iterable(rows)
-                     if not int64.min <= v <= int64.max)
-        raise ComplexError(f"vertex label {label} outside the int64 range") from None
-    sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        sizes = np.fromiter(map(len, simplices), dtype=np.int64, count=len(simplices))
+        flat = np.fromiter(chain.from_iterable(simplices), dtype=np.int64)
+    except (TypeError, ValueError, OverflowError):
+        return None
     starts = np.cumsum(sizes) - sizes
-    return [flat[starts[sizes == size, None] + np.arange(size)]
-            for size in np.unique(sizes).tolist()]
+    blocks = [np.sort(flat[starts[sizes == size, None] + np.arange(size)], axis=1)
+              for size in np.unique(sizes).tolist()]
+    if not sizes.all() or any((b[:, 1:] == b[:, :-1]).any() for b in blocks):
+        return None
+    return blocks
+
+
+def _generating_rows(simplices) -> list[np.ndarray]:
+    """Generating simplices as int64 arrays of sorted rows, one per size.
+
+    All labels are read in one pass and each size's rows are checked as one
+    array. Input that fails is read again simplex by simplex, in order, so
+    the error names the first bad simplex.
+    """
+    simplices = list(simplices)
+    blocks = _sorted_blocks(simplices)
+    if blocks is None:
+        rows = [_canonical(s) for s in simplices]  # raises on an empty or repeated one
+        blocks = _sorted_blocks(rows)
+        if blocks is None:
+            int64 = np.iinfo(np.int64)
+            label = next(v for v in chain.from_iterable(rows)
+                         if not int64.min <= v <= int64.max)
+            raise ComplexError(f"vertex label {label} outside the int64 range")
+    return blocks
 
 
 class SimplicialComplex:
@@ -414,12 +435,11 @@ def build_complex(maximal_simplices) -> SimplicialComplex:
 
 def _parse_text(text: str) -> list[list[int]]:
     rows = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+    for lineno, tokens in enumerate(map(str.split, text.splitlines()), 1):
+        if not tokens or tokens[0].startswith("#"):
             continue
         try:
-            rows.append([int(tok) for tok in stripped.split()])
+            rows.append(list(map(int, tokens)))
         except ValueError:
             raise ComplexError(f"line {lineno}: expected integer vertex ids")
     return rows

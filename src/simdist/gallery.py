@@ -13,12 +13,14 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sparse
-from scipy.sparse import csgraph
 
 from .complexes import DegreeError, MissingSimplexError, SimplicialComplex
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "FillResult",
@@ -88,6 +90,9 @@ def _incidence_components(
     no (k+1)-simplex is a component of its own.
     """
     def build():
+        from scipy import sparse
+        from scipy.sparse import csgraph
+
         indptr, indices = complex_.coface_csr(k)
         n_faces = len(indptr) - 1
         size = n_faces + complex_.simplex_count(k + 1)
@@ -135,6 +140,8 @@ class GalleryGraph:
         complex_, k = self.complex, self.k
 
         def build():
+            from scipy import sparse
+
             indptr, indices = complex_.coface_csr(k)
             incidence = sparse.csr_matrix(
                 (np.ones(len(indices), dtype=np.int32), indices, indptr),
@@ -158,6 +165,8 @@ class GalleryGraph:
         complex_, k = self.complex, self.k
 
         def build():
+            from scipy import sparse
+
             indptr, indices = _face_neighbours(complex_, k)
             size = len(indptr) - 1
             return sparse.csr_matrix(
@@ -275,6 +284,8 @@ class GalleryGraph:
             tables[start:start + step] = self._nearest(levels).T + 1
             if not unfinished.any():
                 continue
+            from scipy.sparse import csgraph
+
             dist = csgraph.shortest_path(
                 self.face_graph, unweighted=True, indices=sources[unfinished]
             )
@@ -376,6 +387,8 @@ def _face_distances(complex_: SimplicialComplex, face: tuple) -> np.ndarray:
     consecutive ones in one simplex, so between distinct faces this is the
     gallery distance. One breadth-first search over the face graph.
     """
+    from scipy.sparse import csgraph
+
     face_graph = GalleryGraph(complex_, len(face) - 1).face_graph
     return csgraph.shortest_path(
         face_graph, unweighted=True, indices=complex_.index_of(face)
@@ -610,6 +623,9 @@ def _link_components(
     its two k-faces through tau, so one labelling over the entries settles
     every link at once.
     """
+    from scipy import sparse
+    from scipy.sparse import csgraph
+
     n_k = complex_.simplex_count(k)
     keys = owner * n_k + indices  # increasing: rows by tau, sorted within
     rho = complex_.facet_table(k + 1)

@@ -261,3 +261,40 @@ def test_distortion_eval_names_first_unfillable_member(runner, tmp_path):
     )
     assert result.exit_code == 1
     assert f"error: {expected}" in result.output
+
+
+def test_sampling_commands_import_no_scipy_linear_algebra(tmp_path):
+    # lmgen and concentration compute with numpy alone, so a fresh process
+    # that runs them must not pay for importing scipy's sparse and linalg
+    # packages; distortion eval loads them on first use in the same process
+    import os
+    import subprocess
+    import sys
+    import textwrap
+
+    import simdist
+
+    path, doc = tmp_path / "x.cplx", tmp_path / "eval.json"
+    script = textwrap.dedent(f"""
+        import sys
+        import simdist
+        from simdist.cli import main
+
+        main(["lmgen", "--n", "12", "--p", "0.6", "--k", "1", "--seed", "1",
+              "--out", {str(path)!r}], standalone_mode=False)
+        main(["concentration", "--n", "30", "--p", "0.5", "--k", "1", "--eps", "0.5",
+              "--trials", "3", "--seed", "1"], standalone_mode=False)
+        loaded = sorted(name for name in sys.modules
+                        if name.startswith(("scipy.sparse", "scipy.linalg")))
+        assert not loaded, loaded
+        main(["distortion", "eval", "--complex", {str(path)!r}, "--k", "1",
+              "--embedding", "gaussian:4:1", "--out", {str(doc)!r}],
+             standalone_mode=False)
+        assert "scipy.sparse.csgraph" in sys.modules
+    """)
+    src = str(Path(simdist.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(doc.read_text())["result"]
+    assert result["exact_fill"] and result["evaluated_members"] == result["family_size"]

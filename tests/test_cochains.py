@@ -286,6 +286,31 @@ def test_laplacian_psd():
         assert eigs.min() >= -1e-9
 
 
+def test_dense_laplacian_matches_sparse_chain_bytes():
+    from pathlib import Path
+
+    from simdist.complexes import load_complex
+
+    golden = sorted((Path(__file__).parent / "golden").glob("*.cplx"))
+    complexes = [load_complex(path) for path in golden] + [
+        linial_meshulam(LmParams(n, p, k, seed=seed))
+        for n, p, k, seed in [(12, 0.6, 1, 1000000), (12, 0.6, 1, 1000003),
+                              (7, 0.6, 2, 1000000), (7, 0.6, 2, 1000001),
+                              (50, 0.25, 1, 1000000), (9, 0.6, 0, 1),
+                              (10, 0.5, 2, 4)]
+    ]
+    checked = 0
+    for x in complexes:
+        for k in range(x.dim if x.is_pure else 0):  # k=0 of a 2-complex too
+            lap = upper_laplacian(x, k)
+            half = sparse.diags(1.0 / np.sqrt(lap.weights_k))
+            d = lap.boundary.astype(float)
+            chain = half @ d.T @ sparse.diags(lap.weights_k1) @ d @ half
+            assert lap.dense().tobytes() == chain.toarray().tobytes()
+            checked += 1
+    assert checked >= 15
+
+
 # -- rank and cohomology -------------------------------------------------------
 
 

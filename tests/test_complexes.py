@@ -57,6 +57,7 @@ def test_build_error_texts():
         # the first invalid simplex is reported, whatever comes after it
         ([(0, 1), (), (2, 2)], "empty simplex"),
         ([(2, 2), (0, "x")], "repeated vertex in simplex (2, 2)"),
+        ([(1, 2), (0, 3, 0), (4, 4)], "repeated vertex in simplex (0, 3, 0)"),
         ([(0, 2**63), (2, 2)], "repeated vertex in simplex (2, 2)"),
         ([(0, 2**63)], "vertex label 9223372036854775808 outside the int64 range"),
         ([(-(2**63) - 1, 4)], "vertex label -9223372036854775809 outside the int64 range"),
@@ -295,6 +296,31 @@ def test_text_comments_and_errors(tmp_path):
     bad.write_text("0 1 oops\n")
     with pytest.raises(ComplexError):
         load_complex(bad)
+
+
+def test_load_error_texts(tmp_path):
+    cases = [
+        ("# header\n\n0 1 2\n1 2 x\n", "line 4: expected integer vertex ids"),
+        ("0 1 2\n  # indented comment\n0.5 1\n", "line 3: expected integer vertex ids"),
+        # parse errors come first, wherever the bad simplex is
+        ("3 1 3\n0 x\n", "line 2: expected integer vertex ids"),
+        ("0 1 2\n2 3\n3 1 3\n4 4\n", "repeated vertex in simplex [3, 1, 3]"),
+        ("0 1\n9223372036854775808 1\n",
+         "vertex label 9223372036854775808 outside the int64 range"),
+        ('{"maximal": [[0, 1], [], [2, 2]]}', "empty simplex"),
+        ('{"maximal": [[0, 1, 2], [5, 4, 5]]}', "repeated vertex in simplex [5, 4, 5]"),
+    ]
+    path = tmp_path / "bad.cplx"
+    for text, message in cases:
+        path.write_text(text)
+        with pytest.raises(ComplexError) as info:
+            load_complex(path)
+        assert str(info.value) == message
+    for text in ("# only a comment\n\n", '{"maximal": []}'):
+        path.write_text(text)
+        with pytest.raises(ComplexError) as info:
+            load_complex(path)
+        assert str(info.value) == f"no simplices found in {path}"
 
 
 def test_json_roundtrip(tmp_path):
