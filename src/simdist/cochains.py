@@ -189,16 +189,19 @@ def adjoint_differential(complex_: SimplicialComplex, psi: Cochain) -> Cochain:
 class UpperLaplacian:
     """d_k* d_k, exposed through the symmetric conjugate W^{1/2} . W^{-1/2}.
 
-    The symmetric matrix has the same spectrum as the operator itself. Its
-    sparse form is built on first use, since `apply` and `dense` do not
-    need it.
+    The symmetric matrix has the same spectrum as the operator itself. The
+    sparse matrices are built on first use: `dense` needs neither, and
+    `apply` only the exact integer d_k, `boundary`.
     """
 
     complex: SimplicialComplex
     k: int
-    boundary: sparse.csr_matrix  # exact integer d_k
     weights_k: np.ndarray
     weights_k1: np.ndarray
+
+    @cached_property
+    def boundary(self) -> sparse.csr_matrix:
+        return differential_matrix(self.complex, self.k)
 
     @cached_property
     def symmetric(self) -> sparse.csr_matrix:
@@ -212,7 +215,7 @@ class UpperLaplacian:
 
     @property
     def dim(self) -> int:
-        return self.boundary.shape[1]
+        return len(self.weights_k)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Apply the operator itself (not the symmetrized conjugate)."""
@@ -242,8 +245,7 @@ def upper_laplacian(complex_: SimplicialComplex, k: int) -> UpperLaplacian:
     if k < 0 or k > complex_.dim - 1:
         raise DegreeError(f"degree {k} outside 0..{complex_.dim - 1}")
     return UpperLaplacian(
-        complex_, k, differential_matrix(complex_, k),
-        _weights_array(complex_, k), _weights_array(complex_, k + 1),
+        complex_, k, _weights_array(complex_, k), _weights_array(complex_, k + 1)
     )
 
 

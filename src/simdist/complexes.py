@@ -104,13 +104,14 @@ def _canonical(vertices) -> tuple[int, ...]:
     return simplex
 
 
-def _sorted_blocks(simplices: list) -> list[np.ndarray] | None:
-    """Simplices as int64 arrays of sorted rows, one per size, with the labels
-    read as `int` reads them; None unless every simplex is a nonempty sized
-    iterable of distinct labels in the int64 range."""
+def _sorted_blocks(sizes, labels) -> list[np.ndarray] | None:
+    """Simplices given by their sizes and by all their labels in one
+    iterable, as int64 arrays of sorted rows, one per size, with the labels
+    read as `int` reads them; None unless every simplex is nonempty with
+    distinct labels in the int64 range."""
     try:
-        sizes = np.fromiter(map(len, simplices), dtype=np.int64, count=len(simplices))
-        flat = np.fromiter(chain.from_iterable(simplices), dtype=np.int64)
+        sizes = np.fromiter(sizes, dtype=np.int64)
+        flat = np.fromiter(labels, dtype=np.int64)
     except (TypeError, ValueError, OverflowError):
         return None
     starts = np.cumsum(sizes) - sizes
@@ -129,10 +130,10 @@ def _generating_rows(simplices) -> list[np.ndarray]:
     the error names the first bad simplex.
     """
     simplices = list(simplices)
-    blocks = _sorted_blocks(simplices)
+    blocks = _sorted_blocks(map(len, simplices), chain.from_iterable(simplices))
     if blocks is None:
         rows = [_canonical(s) for s in simplices]  # raises on an empty or repeated one
-        blocks = _sorted_blocks(rows)
+        blocks = _sorted_blocks(map(len, rows), chain.from_iterable(rows))
         if blocks is None:
             int64 = np.iinfo(np.int64)
             label = next(v for v in chain.from_iterable(rows)
@@ -433,7 +434,16 @@ def build_complex(maximal_simplices) -> SimplicialComplex:
 # '#' starts a comment line. JSON: {"maximal": [[...], ...]}.
 
 
-def _parse_text(text: str) -> list[list[int]]:
+def _parse_text(text: str) -> list[np.ndarray]:
+    """The generating rows of the text format, as `_generating_rows` gives
+    them. All tokens are read in one pass, which converts them as `int`
+    does; only when that fails are the lines read one by one, so the error
+    names the first bad line, or else the first bad simplex."""
+    lines = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
+    blocks = _sorted_blocks(map(len, map(str.split, lines)),
+                            chain.from_iterable(map(str.split, lines)))
+    if blocks is not None:
+        return blocks
     rows = []
     for lineno, tokens in enumerate(map(str.split, text.splitlines()), 1):
         if not tokens or tokens[0].startswith("#"):
@@ -442,7 +452,7 @@ def _parse_text(text: str) -> list[list[int]]:
             rows.append(list(map(int, tokens)))
         except ValueError:
             raise ComplexError(f"line {lineno}: expected integer vertex ids")
-    return rows
+    return _generating_rows(rows)
 
 
 def load_complex(path) -> SimplicialComplex:
@@ -455,11 +465,13 @@ def load_complex(path) -> SimplicialComplex:
         if "maximal" not in data:
             raise ComplexError("JSON complex file needs a 'maximal' key")
         rows = data["maximal"]
-    else:
-        rows = _parse_text(text)
-    if not rows:
+        if not rows:
+            raise ComplexError(f"no simplices found in {path}")
+        return build_complex(rows)
+    blocks = _parse_text(text)
+    if not blocks:
         raise ComplexError(f"no simplices found in {path}")
-    return build_complex(rows)
+    return SimplicialComplex.from_rows(*blocks)
 
 
 def _maximal_labels(complex_: SimplicialComplex) -> list[list[int]]:

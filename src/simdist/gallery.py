@@ -79,6 +79,38 @@ def _face_neighbours(complex_: SimplicialComplex, k: int) -> tuple[np.ndarray, n
     return complex_._cached(("face neighbours", k), build)
 
 
+def _segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Positions of the runs starting at `starts` of `counts` entries each,
+    one run after another: the entries of some rows of a CSR array."""
+    ends = np.cumsum(counts)
+    positions = np.repeat(starts - ends + counts, counts)
+    positions += np.arange(len(positions))
+    return positions
+
+
+def _components(size: int, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
+    """Components of the graph on nodes 0..size-1 with edges (a[i], b[i]).
+
+    Returns their number and the node labels, numbered as csgraph numbers
+    them: by their smallest node. Each round hooks the larger root of every
+    edge that still joins two roots under the smaller one, then jumps
+    pointers until every node points at its root, so a root is always its
+    component's smallest node.
+    """
+    parent = np.arange(size)
+    while True:
+        u, v = parent[a], parent[b]
+        live = u != v
+        if not live.any():
+            break
+        a, b, u, v = a[live], b[live], u[live], v[live]
+        np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
+        while not np.array_equal(grand := parent[parent], parent):
+            parent = grand
+    roots, labels = np.unique(parent, return_inverse=True)
+    return len(roots), labels
+
+
 def _incidence_components(
     complex_: SimplicialComplex, k: int
 ) -> tuple[int, np.ndarray, np.ndarray]:
@@ -90,19 +122,13 @@ def _incidence_components(
     no (k+1)-simplex is a component of its own.
     """
     def build():
-        from scipy import sparse
-        from scipy.sparse import csgraph
-
         indptr, indices = complex_.coface_csr(k)
         n_faces = len(indptr) - 1
-        size = n_faces + complex_.simplex_count(k + 1)
-        # vertices 0..n_faces-1 are the faces, n_faces + j is (k+1)-simplex
-        # j; only the face rows hold entries
-        rows = np.concatenate([indptr, np.full(size - n_faces, indptr[-1])])
-        incidence = sparse.csr_matrix(
-            (np.ones(len(indices)), indices + n_faces, rows), shape=(size, size)
+        # nodes 0..n_faces-1 are the faces, n_faces + j is (k+1)-simplex j
+        count, labels = _components(
+            n_faces + complex_.simplex_count(k + 1),
+            np.repeat(np.arange(n_faces), np.diff(indptr)), indices + n_faces,
         )
-        count, labels = csgraph.connected_components(incidence, directed=False)
         labels.flags.writeable = False
         return count, labels[:n_faces], labels[n_faces:]
 
@@ -140,20 +166,16 @@ class GalleryGraph:
         complex_, k = self.complex, self.k
 
         def build():
-            from scipy import sparse
-
-            indptr, indices = complex_.coface_csr(k)
-            incidence = sparse.csr_matrix(
-                (np.ones(len(indices), dtype=np.int32), indices, indptr),
-                shape=(len(indptr) - 1, complex_.simplex_count(k + 1)),
-            )
-            # B^T B is symmetric, so its CSC arrays are also its CSR arrays
-            shared = incidence.T @ incidence
-            shared.setdiag(0)
-            shared.eliminate_zeros()
-            # intp arrays index faster than scipy's int32
-            indptr = shared.indptr.astype(np.intp)
-            return indptr, shared.indices.astype(np.intp), np.diff(indptr)
+            # a node's neighbours are the other cofaces of each of its
+            # k-faces, face by face; each face's cofaces hold the node once
+            indptr, cofaces = complex_.coface_csr(k)
+            faces = complex_.facet_table(k + 1)
+            counts = np.diff(indptr)[faces]
+            found = cofaces[_segments(indptr[faces.ravel()], counts.ravel())]
+            sizes = counts.sum(axis=1)
+            found = found[found != np.repeat(np.arange(len(faces)), sizes)]
+            degrees = sizes - (k + 2)
+            return np.concatenate([[0], np.cumsum(degrees)]), found, degrees
 
         return complex_._cached(("node adjacency", k), build)
 
@@ -181,13 +203,9 @@ class GalleryGraph:
         return self.complex.simplices(self.k + 1)
 
     def _neighbours(self, nodes: np.ndarray) -> np.ndarray:
-        """Adjacency rows of a nonempty node array, concatenated."""
+        """Adjacency rows of a node array, concatenated."""
         indptr, indices, degrees = self._adjacency
-        counts = degrees[nodes]
-        ends = np.cumsum(counts)
-        positions = np.repeat(indptr[nodes] - ends + counts, counts)
-        positions += np.arange(ends[-1])
-        return indices[positions]
+        return indices[_segments(indptr[nodes], degrees[nodes])]
 
     def relax(self, table: np.ndarray, cap: int) -> np.ndarray:
         """Lower `table` in place to min over u of table[u] + dist(u, v).
@@ -623,9 +641,6 @@ def _link_components(
     its two k-faces through tau, so one labelling over the entries settles
     every link at once.
     """
-    from scipy import sparse
-    from scipy.sparse import csgraph
-
     n_k = complex_.simplex_count(k)
     keys = owner * n_k + indices  # increasing: rows by tau, sorted within
     rho = complex_.facet_table(k + 1)
@@ -635,10 +650,7 @@ def _link_components(
     a, b = np.triu_indices(k + 2, 1)
     tau = sigma[rho[:, a], b - 1].ravel()
     ends = [np.searchsorted(keys, tau * n_k + rho[:, c].ravel()) for c in (a, b)]
-    edges = sparse.csr_matrix(
-        (np.ones(len(tau)), (ends[0], ends[1])), shape=(len(keys), len(keys))
-    )
-    count, labels = csgraph.connected_components(edges, directed=False)
+    count, labels = _components(len(keys), *ends)
     link_of = np.empty(count, dtype=np.intp)
     link_of[labels] = owner
     return np.bincount(link_of, minlength=complex_.simplex_count(k - 1))

@@ -264,9 +264,11 @@ def test_distortion_eval_names_first_unfillable_member(runner, tmp_path):
 
 
 def test_sampling_commands_import_no_scipy_linear_algebra(tmp_path):
-    # lmgen and concentration compute with numpy alone, so a fresh process
-    # that runs them must not pay for importing scipy's sparse and linalg
-    # packages; distortion eval loads them on first use in the same process
+    # lmgen, concentration, distortion eval at k=1 and k=2 (with a searched
+    # row), gallery connected and the dense spectrum compute with numpy
+    # alone, so a fresh process that runs them must not pay for importing
+    # scipy's sparse and linalg packages; verify all loads them on first use
+    # in the same process
     import os
     import subprocess
     import sys
@@ -274,27 +276,47 @@ def test_sampling_commands_import_no_scipy_linear_algebra(tmp_path):
 
     import simdist
 
-    path, doc = tmp_path / "x.cplx", tmp_path / "eval.json"
+    paths = {k: tmp_path / f"k{k}.cplx" for k in (1, 2)}
+    docs = {k: tmp_path / f"eval{k}.json" for k in (1, 2)}
+    verify = tmp_path / "verify.json"
     script = textwrap.dedent(f"""
         import sys
         import simdist
         from simdist.cli import main
+        from simdist.gallery import GalleryGraph
 
-        main(["lmgen", "--n", "12", "--p", "0.6", "--k", "1", "--seed", "1",
-              "--out", {str(path)!r}], standalone_mode=False)
-        main(["concentration", "--n", "30", "--p", "0.5", "--k", "1", "--eps", "0.5",
-              "--trials", "3", "--seed", "1"], standalone_mode=False)
+        searches = []
+        steiner = GalleryGraph.steiner_tables
+        GalleryGraph.steiner_tables = lambda self, *a: searches.append(1) or steiner(self, *a)
+
+        def run(*argv):
+            main(list(argv), standalone_mode=False)
+
+        run("lmgen", "--n", "12", "--p", "0.6", "--k", "1", "--seed", "1",
+            "--out", {str(paths[1])!r})
+        run("lmgen", "--n", "7", "--p", "0.6", "--k", "2", "--seed", "2",
+            "--out", {str(paths[2])!r})
+        run("concentration", "--n", "30", "--p", "0.5", "--k", "1", "--eps", "0.5",
+            "--trials", "3", "--seed", "1")
+        for k, path, doc in (("1", {str(paths[1])!r}, {str(docs[1])!r}),
+                             ("2", {str(paths[2])!r}, {str(docs[2])!r})):
+            run("distortion", "eval", "--complex", path, "--k", k,
+                "--embedding", "gaussian:4:1", "--out", doc)
+        assert searches, "no k=2 row was searched"
+        run("gallery", "connected", "--complex", {str(paths[1])!r}, "--k", "1")
+        run("spectrum", "--complex", {str(paths[1])!r}, "--k", "1")
         loaded = sorted(name for name in sys.modules
                         if name.startswith(("scipy.sparse", "scipy.linalg")))
         assert not loaded, loaded
-        main(["distortion", "eval", "--complex", {str(path)!r}, "--k", "1",
-              "--embedding", "gaussian:4:1", "--out", {str(doc)!r}],
-             standalone_mode=False)
-        assert "scipy.sparse.csgraph" in sys.modules
+        run("verify", "all", "--complex", {str(paths[1])!r}, "--k", "1",
+            "--embedding", "gaussian:4:1", "--out", {str(verify)!r})
+        assert "scipy.sparse" in sys.modules
     """)
     src = str(Path(simdist.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert done.returncode == 0, done.stderr
-    result = json.loads(doc.read_text())["result"]
-    assert result["exact_fill"] and result["evaluated_members"] == result["family_size"]
+    for doc in docs.values():
+        result = json.loads(doc.read_text())["result"]
+        assert result["exact_fill"] and result["evaluated_members"] == result["family_size"]
+    assert json.loads(verify.read_text())["result"]["ok"]

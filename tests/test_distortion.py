@@ -7,7 +7,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from simdist.cochains import Cochain, adjoint_differential, differential, random_cochain
+from simdist.cochains import (
+    Cochain,
+    adjoint_differential,
+    differential,
+    differential_matrix,
+    random_cochain,
+)
 from simdist.complexes import (
     DegreeError,
     InvalidSimplexError,
@@ -565,6 +571,7 @@ def test_derived_data_holds_no_reference_cycle():
     assert fill_number(x, list(combinations((0, 1, 2, 5), 3))).exact == 4
     assert gallery_distance(x, (0, 1, 2), (3, 4, 5)) == 3
     assert compute_hypotheses(x, 2).gallery_connected
+    differential_matrix(x, 2)  # eval's dense spectrum builds no scipy matrix
     assert {key[0] for key in x._cache} >= {
         "differential", "rank", "spectrum", "gallery labels", "face neighbours",
         "face graph", "node adjacency",

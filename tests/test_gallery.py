@@ -264,6 +264,63 @@ def test_incidence_connectivity_matches_gallery_graph():
             assert is_gallery_connected(x, k) == expected
 
 
+def csgraph_incidence_components(complex_, k):
+    """csgraph's count and labels of the face-coface incidence, faces first."""
+    from scipy import sparse
+    from scipy.sparse import csgraph
+
+    indptr, indices = complex_.coface_csr(k)
+    n_faces = len(indptr) - 1
+    size = n_faces + complex_.simplex_count(k + 1)
+    rows = np.concatenate([indptr, np.full(size - n_faces, indptr[-1])])
+    incidence = sparse.csr_matrix(
+        (np.ones(len(indices)), indices + n_faces, rows), shape=(size, size)
+    )
+    return csgraph.connected_components(incidence, directed=False)
+
+
+def test_component_labels_match_csgraph():
+    from scipy import sparse
+    from scipy.sparse import csgraph
+
+    def two_components(n, p, k, seed):
+        first, second = (linial_meshulam(LmParams(n, p, k, seed=s)).simplex_rows(k + 1)
+                         for s in (seed, seed + 1))
+        return build_complex(np.concatenate([first, second + n]).tolist())
+
+    small = [(linial_meshulam(LmParams(n, p, k, seed=seed)), k)
+             for n, p, k, seed in [(12, 0.3, 0, 1), (12, 0.15, 0, 2), (11, 0.5, 1, 1),
+                                   (10, 0.2, 1, 3), (9, 0.5, 2, 2), (8, 0.3, 2, 4)]]
+    small += [(two_components(8, 0.6, 1, 1), 1), (two_components(7, 0.7, 2, 1), 2)]
+    # faces in no coface: the edges (0, 9) and (4, 10), and the vertex 11
+    lone = build_complex([(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 9), (4, 10), (11,)])
+    small += [(lone, 1), (lone, 0)]
+    # a strip of 5,000 triangles, 5,000 gallery steps long, with its vertex
+    # labels scrambled so that neither faces nor nodes come in strip order
+    order = np.random.default_rng(5).permutation(5002)
+    strip = build_complex(np.stack([order[:-2], order[1:-1], order[2:]], axis=1).tolist())
+    for x, k in small + [(strip, 1), (strip, 0)]:
+        count, labels = csgraph_incidence_components(x, k)
+        found, face_labels, node_labels = gallery_module._incidence_components(x, k)
+        assert found == count
+        assert np.concatenate([face_labels, node_labels]).tolist() == labels.tolist()
+    assert gallery_module._incidence_components(strip, 1)[0] == 1
+    for x, k in small:
+        indptr, indices, degrees = GalleryGraph(x, k)._adjacency
+        rows = [set(indices[indptr[v]:indptr[v + 1]].tolist()) for v in range(len(degrees))]
+        assert rows == [set(row) for row in node_adjacency(x.simplices(k + 1))]
+        assert degrees.tolist() == [len(row) for row in rows]
+    # random edge lists, with self-loops and untouched nodes
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        size = int(rng.integers(1, 60))
+        a, b = rng.integers(0, size, (2, int(rng.integers(0, 2 * size))))
+        graph = sparse.csr_matrix((np.ones(len(a)), (a, b)), shape=(size, size))
+        count, labels = csgraph.connected_components(graph, directed=False)
+        found, found_labels = gallery_module._components(size, a, b)
+        assert found == count and found_labels.tolist() == labels.tolist()
+
+
 def test_degree_validation():
     x = build_complex([(0, 1, 2)])
     with pytest.raises(DegreeError):
