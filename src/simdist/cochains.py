@@ -122,8 +122,37 @@ def _coboundary_entries(complex_: SimplicialComplex, k: int):
     The face that omits vertex j carries (-1)^j; faces that omit later
     vertices come first in canonical order, so reversed columns are sorted.
     """
+    if k < 0 or k > complex_.dim:
+        raise DegreeError(f"degree {k} outside 0..{complex_.dim}")
     return (complex_.facet_table(k + 1)[:, ::-1],
             (-1) ** np.arange(k + 1, -1, -1, dtype=np.int64))
+
+
+def _signed_gather(values: np.ndarray, faces: np.ndarray, signs) -> np.ndarray:
+    """The matrix (faces, signs) times values, added a column at a time as CSR does."""
+    out = np.zeros(len(faces))
+    for j, sign in enumerate(signs):
+        out += values[faces[:, j]] * sign
+    return out
+
+
+def _signed_scatter(values: np.ndarray, faces: np.ndarray, signs, n: int) -> np.ndarray:
+    """Its transpose times values, added in row order as CSR's transpose does."""
+    return np.bincount(faces.ravel(), (values[:, None] * signs).ravel(), minlength=n)
+
+
+def _dd_zero(complex_: SimplicialComplex) -> bool:
+    """Whether d_{k+1} d_k = 0 in every degree: each (row, k-face) entry sums
+    its outer times inner signs over the facet-table composite, exactly."""
+    for k in range(max(complex_.dim - 1, 0)):
+        outer, outer_signs = _coboundary_entries(complex_, k + 1)
+        inner, inner_signs = _coboundary_entries(complex_, k)
+        keys = np.arange(len(outer))[:, None, None] * complex_.simplex_count(k) + inner[outer]
+        _, at = np.unique(keys.ravel(), return_inverse=True)
+        signs = np.broadcast_to(outer_signs[:, None] * inner_signs, keys.shape)
+        if np.any(np.bincount(at, signs.ravel())):
+            return False
+    return True
 
 
 def differential_matrix(complex_: SimplicialComplex, k: int) -> sparse.csr_matrix:
@@ -133,13 +162,11 @@ def differential_matrix(complex_: SimplicialComplex, k: int) -> sparse.csr_matri
     the dimension gives the zero map (no rows). Built once per complex and
     degree; the shared matrix is read-only, so an in-place edit raises.
     """
-    if k < 0 or k > complex_.dim:
-        raise DegreeError(f"degree {k} outside 0..{complex_.dim}")
+    cols, signs = _coboundary_entries(complex_, k)
 
     def build():
         from scipy import sparse
 
-        cols, signs = _coboundary_entries(complex_, k)
         mat = sparse.csr_matrix(
             (np.tile(signs, len(cols)), cols.ravel(), np.arange(0, cols.size + 1, k + 2)),
             shape=(len(cols), complex_.simplex_count(k)),
@@ -155,8 +182,8 @@ def differential(complex_: SimplicialComplex, phi: Cochain) -> Cochain:
     """Apply d_k: (d phi)(v_0..v_{k+1}) = sum_i (-1)^i phi(v_0..^v_i..v_{k+1})."""
     if phi.k >= complex_.dim:
         raise DegreeError(f"no degree-{phi.k + 1} cochains on a {complex_.dim}-complex")
-    mat = differential_matrix(complex_, phi.k)
-    return Cochain(complex_, phi.k + 1, mat @ phi.values)
+    values = _signed_gather(phi.values, *_coboundary_entries(complex_, phi.k))
+    return Cochain(complex_, phi.k + 1, values)
 
 
 def _weights_array(complex_: SimplicialComplex, k: int) -> np.ndarray:
@@ -179,19 +206,20 @@ def adjoint_differential(complex_: SimplicialComplex, psi: Cochain) -> Cochain:
     """Adjoint of d_{k-1} with respect to the weighted inner products."""
     if psi.k < 1:
         raise DegreeError("adjoint differential needs degree >= 1")
-    mat = differential_matrix(complex_, psi.k - 1)
+    faces, signs = _coboundary_entries(complex_, psi.k - 1)
     w_hi = _weights_array(complex_, psi.k)
     w_lo = _weights_array(complex_, psi.k - 1)
-    return Cochain(complex_, psi.k - 1, (mat.T @ (w_hi * psi.values)) / w_lo)
+    down = _signed_scatter(w_hi * psi.values, faces, signs, len(w_lo))
+    return Cochain(complex_, psi.k - 1, down / w_lo)
 
 
 @dataclass
 class UpperLaplacian:
     """d_k* d_k, exposed through the symmetric conjugate W^{1/2} . W^{-1/2}.
 
-    The symmetric matrix has the same spectrum as the operator itself. The
-    sparse matrices are built on first use: `dense` needs neither, and
-    `apply` only the exact integer d_k, `boundary`.
+    The symmetric matrix has the same spectrum as the operator itself.
+    `apply` and `dense` read the facet table; only `symmetric`, which the
+    iterative eigensolve multiplies by, is a sparse matrix, built on first use.
     """
 
     complex: SimplicialComplex
@@ -200,15 +228,11 @@ class UpperLaplacian:
     weights_k1: np.ndarray
 
     @cached_property
-    def boundary(self) -> sparse.csr_matrix:
-        return differential_matrix(self.complex, self.k)
-
-    @cached_property
     def symmetric(self) -> sparse.csr_matrix:
         from scipy import sparse
 
         half = sparse.diags(1.0 / np.sqrt(self.weights_k))
-        mat = self.boundary
+        mat = differential_matrix(self.complex, self.k)
         sym = (half @ mat.T.astype(float) @ sparse.diags(self.weights_k1)
                @ mat.astype(float) @ half)
         return sparse.csr_matrix(sym)
@@ -219,7 +243,8 @@ class UpperLaplacian:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Apply the operator itself (not the symmetrized conjugate)."""
-        return (self.boundary.T @ (self.weights_k1 * (self.boundary @ values))) / self.weights_k
+        d_phi = differential(self.complex, Cochain(self.complex, self.k, values))
+        return adjoint_differential(self.complex, d_phi).values
 
     def dense(self) -> np.ndarray:
         """`symmetric` as a dense array, gathered from the facet table.

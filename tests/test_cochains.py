@@ -299,16 +299,50 @@ def test_dense_laplacian_matches_sparse_chain_bytes():
                               (50, 0.25, 1, 1000000), (9, 0.6, 0, 1),
                               (10, 0.5, 2, 4)]
     ]
+    rng = _rng(3)
     checked = 0
     for x in complexes:
         for k in range(x.dim if x.is_pure else 0):  # k=0 of a 2-complex too
             lap = upper_laplacian(x, k)
+            mat = differential_matrix(x, k)
             half = sparse.diags(1.0 / np.sqrt(lap.weights_k))
-            d = lap.boundary.astype(float)
+            d = mat.astype(float)
             chain = half @ d.T @ sparse.diags(lap.weights_k1) @ d @ half
             assert lap.dense().tobytes() == chain.toarray().tobytes()
+            # the facet-table gather and scatter against the CSR products
+            phi = random_cochain(x, k, rng)
+            psi = random_cochain(x, k + 1, rng)
+            w_lo, w_hi = lap.weights_k, lap.weights_k1
+            assert differential(x, phi).values.tobytes() == (mat @ phi.values).tobytes()
+            adjoint = (mat.T @ (w_hi * psi.values)) / w_lo
+            assert adjoint_differential(x, psi).values.tobytes() == adjoint.tobytes()
+            applied = (mat.T @ (w_hi * (mat @ phi.values))) / w_lo
+            assert lap.apply(phi.values).tobytes() == applied.tobytes()
             checked += 1
     assert checked >= 15
+
+
+def test_dd_zero_check_fails_on_a_wrong_sign(monkeypatch):
+    from pathlib import Path
+
+    from simdist.complexes import load_complex
+
+    golden = [load_complex(path)
+              for path in sorted((Path(__file__).parent / "golden").glob("*.cplx"))]
+    assert all(cochains_module._dd_zero(x) for x in golden)
+    entries = cochains_module._coboundary_entries
+
+    def wrong_at_degree_1(complex_, k):
+        faces, signs = entries(complex_, k)
+        if k == 1:
+            signs = signs.copy()
+            signs[0] = -signs[0]
+        return faces, signs
+
+    monkeypatch.setattr(cochains_module, "_coboundary_entries", wrong_at_degree_1)
+    checked = [x for x in golden if x.dim >= 2]
+    assert len(checked) >= 3
+    assert not any(cochains_module._dd_zero(x) for x in checked)
 
 
 # -- rank and cohomology -------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from simdist.cochains import (
     Cochain,
+    _signed_gather,
     adjoint_differential,
     differential,
     differential_matrix,
@@ -23,7 +24,6 @@ from simdist.complexes import (
 )
 from simdist.distortion import (
     BoundaryFamily,
-    _simplex_boundary_pairings,
     EmbeddingSpec,
     FillBoundUndefinedError,
     boundary_pairing,
@@ -191,7 +191,7 @@ def test_sums_run_left_to_right():
     assert terms == [1e16, 1.0, -1e16] and math.fsum(terms) == 1.0
     assert boundary_pairing(phi, member) == 0.0
     faces = x.facet_indices(np.array([[0, 1, 2]]))
-    assert _simplex_boundary_pairings(phi, faces).tolist() == [0.0]
+    assert _signed_gather(phi.values, faces, np.array([1, -1, 1])).tolist() == [0.0]
 
     # pairings 1e8, 1, 1: their squares add to 1e16 left to right
     family = BoundaryFamily(x, np.array([(0, 1, 2), (0, 2, 3), (1, 2, 3)]))
