@@ -187,7 +187,11 @@ def differential(complex_: SimplicialComplex, phi: Cochain) -> Cochain:
 
 
 def _weights_array(complex_: SimplicialComplex, k: int) -> np.ndarray:
-    return np.asarray(complex_.weights_of_dim(k), dtype=float)
+    """The degree-k weights as a read-only float array, kept on the complex."""
+    return complex_._cached(
+        ("float weights", k),
+        lambda: _read_only(np.asarray(complex_.weights_of_dim(k), dtype=float)),
+    )
 
 
 def inner_product(complex_: SimplicialComplex, phi: Cochain, psi: Cochain) -> float:
@@ -383,19 +387,23 @@ def _solve_spectrum(complex_: SimplicialComplex, k: int, tolerance: float) -> Sp
 
 
 def _integer_entries(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
-    """Rows, columns and values of the nonzero entries, as int64 arrays."""
-    from scipy import sparse
-
-    if not sparse.issparse(matrix):
-        matrix = np.atleast_2d(np.asarray(matrix))
-    coo = sparse.coo_matrix(matrix)
-    coo.sum_duplicates()
-    values = coo.data.astype(np.int64)
-    if not np.array_equal(values, coo.data):
+    """Rows, columns and values of the nonzero entries, as int64 arrays, in
+    row-major order. A sparse matrix is read through a copy from its
+    `tocoo`, so only its own package is used and the input is left as it is."""
+    if hasattr(matrix, "tocoo"):
+        coo = matrix.tocoo(copy=True)
+        coo.sum_duplicates()
+        row, col, data, shape = coo.row, coo.col, coo.data, coo.shape
+    else:
+        dense = np.atleast_2d(np.asarray(matrix))
+        row, col = np.nonzero(dense)
+        data, shape = dense[row, col], dense.shape
+    values = data.astype(np.int64)
+    if not np.array_equal(values, data):
         raise ValueError("exact rank needs an integer matrix")
     live = values != 0
-    return (coo.row[live].astype(np.int64), coo.col[live].astype(np.int64),
-            values[live], coo.shape)
+    return (row[live].astype(np.int64), col[live].astype(np.int64),
+            values[live], shape)
 
 
 def _peel_singletons(rows, cols, values, shape):

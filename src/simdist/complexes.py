@@ -169,6 +169,13 @@ class SimplicialComplex:
         if any(b.shape[1] == 0 or (b[:, 1:] == b[:, :-1]).any() for b in rows):
             # the constructor names the first invalid row
             return cls([row for block in blocks for row in np.asarray(block).tolist()])
+        return cls._from_sorted_rows(rows)
+
+    @classmethod
+    def _from_sorted_rows(cls, rows: list[np.ndarray]) -> "SimplicialComplex":
+        """The complex generated by int64 blocks whose rows are already
+        sorted, nonempty and free of repeats, as `_generating_rows` gives
+        them; nothing is sorted or checked again."""
         complex_ = cls.__new__(cls)
         complex_._build(rows, False)
         return complex_
@@ -471,7 +478,7 @@ def load_complex(path) -> SimplicialComplex:
     blocks = _parse_text(text)
     if not blocks:
         raise ComplexError(f"no simplices found in {path}")
-    return SimplicialComplex.from_rows(*blocks)
+    return SimplicialComplex._from_sorted_rows(blocks)
 
 
 def _maximal_labels(complex_: SimplicialComplex) -> list[list[int]]:

@@ -21,6 +21,7 @@ from .cochains import (  # noqa: F401 - perfbench/tracing.py wraps differential_
     Cochain,
     _dd_zero,
     _signed_gather,
+    _weights_array,
     adjoint_differential,
     cohomology_dim,
     differential,
@@ -297,8 +298,7 @@ def projection_volume_inequality(
             complex_.simplex_rows(k + 1), embedding.points,
             faces=(complex_.simplex_rows(k), complex_.facet_table(k + 1)),
         )
-        weights = np.asarray(complex_.weights_of_dim(k + 1), dtype=float)
-        lhs = float(np.dot(weights, volumes**2))
+        lhs = float(np.dot(_weights_array(complex_, k + 1), volumes**2))
     if applicable and lhs is not None:
         l_value = family.l
         coefficient = l_value * hyp.lambda_min_nonzero / family.s

@@ -13,14 +13,10 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .complexes import DegreeError, MissingSimplexError, SimplicialComplex
-
-if TYPE_CHECKING:
-    from scipy import sparse
+from .complexes import DegreeError, MissingSimplexError, SimplicialComplex, _read_only
 
 __all__ = [
     "FillResult",
@@ -39,13 +35,6 @@ INF = math.inf
 # Entries of one block of face tables or Dreyfus-Wagner tables: the batched
 # kernels work through their rows in blocks of about this many entries.
 BLOCK_ENTRIES = 1 << 22
-# Levels of the bit-parallel face search before the sources it has not
-# finished go to one breadth-first search each. Every level is a pass over
-# the whole face graph, so on a deep graph, such as a long strip, separate
-# searches cost less. LM complexes measured need at most 7 levels, and 4 or 5
-# when gallery-connected. Below 254, so that a level fits a uint8 under its
-# marker.
-MSBFS_LEVELS = 8
 # _BITS[b] spreads the 8 bits of byte b over the 8 bytes of a uint64, low bit
 # first, so one gather unpacks a packed bit row into 0/1 bytes
 _BITS = np.unpackbits(
@@ -57,26 +46,21 @@ class UnfillableError(ValueError):
     """Some pair of the face set cannot be joined by any gallery."""
 
 
-def _face_neighbours(complex_: SimplicialComplex, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The face graph as CSR arrays (indptr, indices), kept on the complex
-    per k: k-faces are adjacent when one (k+1)-simplex holds both.
-
-    Face f's neighbours are the other facets of each of its cofaces, coface
-    by coface. Two distinct k-faces lie in at most one (k+1)-simplex, their
-    union, so no neighbour repeats. A face in no (k+1)-simplex is its own
-    only neighbour, so that no row is empty: `np.bitwise_or.reduceat` would
-    give an empty row the first entry of the next.
-    """
+def _coface_table(complex_: SimplicialComplex, k: int) -> np.ndarray:
+    """The cofaces of each k-face as one read-only (faces, most cofaces)
+    array, kept on the complex per k. A face's cofaces come first, in
+    increasing order; the rest of its row is n_{k+1}, one past the last
+    (k+1)-simplex, which holds no coface and so always pads."""
     def build():
         indptr, cofaces = complex_.coface_csr(k)
         sizes = np.diff(indptr)
-        facets = complex_.facet_table(k + 1)[cofaces]
-        others = facets[facets != np.repeat(np.arange(len(sizes)), sizes)[:, None]]
-        lone = np.flatnonzero(sizes == 0)
-        return (np.concatenate([[0], np.cumsum(np.maximum(sizes * (k + 1), 1))]),
-                np.insert(others, indptr[lone] * (k + 1), lone))
+        table = np.full((len(sizes), max(1, int(sizes.max(initial=0)))),
+                        complex_.simplex_count(k + 1), dtype=np.intp)
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        table[owner, np.arange(len(cofaces)) - indptr[owner]] = cofaces
+        return _read_only(table)
 
-    return complex_._cached(("face neighbours", k), build)
+    return complex_._cached(("coface table", k), build)
 
 
 def _segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -140,10 +124,10 @@ class GalleryGraph:
 
     With B the k-face x (k+1)-simplex incidence, the adjacency is B^T B
     minus its diagonal: two distinct (k+1)-simplices share at most one k-face.
-    The face graph, the k-faces adjacent when one node holds both, is read
-    as numpy CSR arrays by the bit-parallel search of `face_tables`;
-    `face_graph` is the same graph as a scipy matrix. Each is built on first
-    use and kept on the complex per k, so a graph is cheap to make.
+    The face graph, the k-faces adjacent when one node holds both, is walked
+    through the facet table and the coface table by the bit-parallel search
+    of `_levels`. What a graph reads is built on first use and kept on the
+    complex per k, so a graph is cheap to make.
     """
 
     def __init__(self, complex_: SimplicialComplex, k: int):
@@ -153,9 +137,7 @@ class GalleryGraph:
         self.k = k
         self.num_nodes = complex_.simplex_count(k + 1)
         _, self._face_components, self.components = _incidence_components(complex_, k)
-        indptr, self._face_indices = _face_neighbours(complex_, k)
-        self._face_starts = indptr[:-1]
-        self._face_count = len(self._face_starts)
+        self._face_count = complex_.simplex_count(k)
         self._node_faces = complex_.facet_table(k + 1)
 
     @cached_property
@@ -178,24 +160,6 @@ class GalleryGraph:
             return np.concatenate([[0], np.cumsum(degrees)]), found, degrees
 
         return complex_._cached(("node adjacency", k), build)
-
-    @cached_property
-    def face_graph(self) -> sparse.csr_matrix:
-        """The face graph for csgraph, which would convert any dtype other
-        than float64 on every call: single-source distances and the sources
-        that `face_tables` leaves to breadth-first search."""
-        complex_, k = self.complex, self.k
-
-        def build():
-            from scipy import sparse
-
-            indptr, indices = _face_neighbours(complex_, k)
-            size = len(indptr) - 1
-            return sparse.csr_matrix(
-                (np.ones(len(indices)), indices, indptr), shape=(size, size)
-            )
-
-        return complex_._cached(("face graph", k), build)
 
     @property
     def nodes(self) -> list[tuple[int, ...]]:
@@ -231,35 +195,41 @@ class GalleryGraph:
             level += 1
         return table
 
-    def _levels(self, sources: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+    def _levels(self, sources: np.ndarray, dtype=np.uint8) -> np.ndarray:
         """Face-graph distances from each source, by one multi-source BFS.
 
         The search of Then et al. (PVLDB 8(4), 2014): each face keeps one bit
         per source in packed uint64 words, and a level moves every source at
-        once, ``next[f] = OR of frontier[g] over the neighbours g of f, minus
-        seen``. Bit b of the levels that reach each face collects in a plane
-        of its own, so the distances are unpacked once. Returns a (faces,
-        sources) array of `dtype`, its maximum - 1 where unreached, and a mask
-        of the sources still unfinished after MSBFS_LEVELS levels, whose
-        columns the caller must replace.
+        once. Each node holds the OR of its k-faces' frontier words, and a
+        face reaches the OR over its cofaces minus what it has seen; the
+        coface table's pad reads a zero row past the last node. Levels run
+        until no source advances. Bit b of the levels that reach each face
+        collects in a plane of its own, so the distances are unpacked once, a
+        byte of planes at a time. Returns a (faces, sources) array of `dtype`,
+        or of the smallest wider unsigned dtype that holds the last level + 2,
+        with its maximum - 1 where unreached.
         """
         count = len(sources)
-
-        def unpack(words):  # (..., words) uint64 -> (..., count) 0/1 bytes
-            return _BITS[words.view(np.uint8)].view(np.uint8)[..., :count]
-
         start = np.ones((self._face_count, -(-count // 64) * 64), dtype=bool)
         start[sources, np.arange(count)] = False
         unseen = np.packbits(start, axis=1, bitorder="little").view(np.uint64)
         frontier = ~unseen
+        cofaces = _coface_table(self.complex, self.k)
+        held = np.zeros((self.num_nodes + 1, unseen.shape[1]), dtype=np.uint64)
+        body = held[:-1]
         planes = []
-        for level in range(1, MSBFS_LEVELS + 1):
-            frontier = np.bitwise_or.reduceat(
-                frontier[self._face_indices], self._face_starts, axis=0
-            )
+        level = 0
+        while True:
+            body[:] = frontier.take(self._node_faces[:, 0], axis=0)
+            for column in self._node_faces.T[1:]:
+                body |= frontier.take(column, axis=0)
+            frontier = held.take(cofaces[:, 0], axis=0)
+            for column in cofaces.T[1:]:
+                frontier |= held.take(column, axis=0)
             frontier &= unseen
             if not frontier.any():
                 break
+            level += 1
             unseen ^= frontier
             if level & (level - 1) == 0:
                 planes.append(frontier.copy())
@@ -267,13 +237,17 @@ class GalleryGraph:
                 for bit, plane in enumerate(planes):
                     if level >> bit & 1:
                         plane |= frontier
-        # each byte lane gathers one distance, bit by bit
-        lanes = np.zeros((self._face_count, unseen.shape[1] * 8), dtype=np.uint64)
-        for bit, plane in enumerate(planes):
-            lanes |= _BITS[plane.view(np.uint8)] << np.uint64(bit)
-        dist = lanes.view(np.uint8)[:, :count].astype(dtype, copy=False)
-        np.copyto(dist, np.iinfo(dtype).max - 1, where=unpack(unseen).view(bool))
-        return dist, unpack(np.bitwise_or.reduce(frontier, axis=0)).view(bool)
+        dtype = np.promote_types(dtype, np.min_scalar_type(level + 2))
+        dist = np.zeros((self._face_count, count), dtype=dtype)
+        # each byte lane gathers eight bits of one distance
+        for low in range(0, len(planes), 8):
+            lanes = np.zeros((self._face_count, unseen.shape[1] * 8), dtype=np.uint64)
+            for bit, plane in enumerate(planes[low:low + 8]):
+                lanes |= _BITS[plane.view(np.uint8)] << np.uint64(bit)
+            dist |= lanes.view(np.uint8)[:, :count].astype(dtype) << low
+        unreached = _BITS[unseen.view(np.uint8)].view(bool)[:, :count]
+        np.copyto(dist, np.iinfo(dtype).max - 1, where=unreached)
+        return dist
 
     def _nearest(self, dist: np.ndarray) -> np.ndarray:
         """Min over each node's k-faces of the rows of a (faces, m) array."""
@@ -288,34 +262,23 @@ class GalleryGraph:
         A node of the face's star costs 1 and each gallery step adds 1, so
         an entry is 1 + the least face-graph distance from the face to a
         k-face of the node. Rows come in blocks of faces from the
-        multi-source BFS of `_levels`; the sources it leaves unfinished get
-        one breadth-first search each over `face_graph`. Rows are stored in
-        the smallest unsigned dtype that holds them. Nodes of other
-        components hold the dtype's maximum, above every real entry.
+        multi-source BFS of `_levels`, and are stored in the smallest
+        unsigned dtype that holds them. Nodes of other components hold the
+        dtype's maximum, above every real entry.
         """
         faces = np.asarray(faces, dtype=np.intp)
         tables = np.empty((len(faces), self.num_nodes), dtype=np.uint8)
-        step = max(1, BLOCK_ENTRIES // max(self.num_nodes, self._face_count))
+        step = max(1, BLOCK_ENTRIES // self._face_count)
+        width = max(1, BLOCK_ENTRIES // max(1, self.num_nodes))
         for start in range(0, len(faces), step):
-            sources = faces[start:start + step]
-            levels, unfinished = self._levels(sources, tables.dtype)
-            tables[start:start + step] = self._nearest(levels).T + 1
-            if not unfinished.any():
-                continue
-            from scipy.sparse import csgraph
-
-            dist = csgraph.shortest_path(
-                self.face_graph, unweighted=True, indices=sources[unfinished]
-            )
-            reached = np.isfinite(dist)
-            longest = int(dist[reached].max(initial=0)) + 1
-            marker = np.iinfo(tables.dtype).max
-            if longest >= marker:  # widen, and move the unreached marker along
-                tables = tables.astype(np.min_scalar_type(longest + 1))
-                tables[tables == marker] = np.iinfo(tables.dtype).max
-            dist[~reached] = np.iinfo(tables.dtype).max - 1
-            dist = dist.astype(tables.dtype).T
-            tables[start + np.flatnonzero(unfinished)] = self._nearest(dist).T + 1
+            dist = self._levels(faces[start:start + step], tables.dtype)
+            if dist.dtype != tables.dtype:  # widen, and move the unreached marker along
+                marker = np.iinfo(tables.dtype).max
+                tables = tables.astype(dist.dtype)
+                tables[:start][tables[:start] == marker] = np.iinfo(dist.dtype).max
+            for first in range(0, dist.shape[1], width):
+                part = self._nearest(dist[:, first:first + width]).T + 1
+                tables[start + first:start + first + len(part)] = part
         return tables
 
     def steiner_tables(self, tables: np.ndarray, caps: np.ndarray):
@@ -403,14 +366,11 @@ def _face_distances(complex_: SimplicialComplex, face: tuple) -> np.ndarray:
 
     A gallery of m simplices passes through m + 1 faces, each two
     consecutive ones in one simplex, so between distinct faces this is the
-    gallery distance. One breadth-first search over the face graph.
+    gallery distance. The face search of `GalleryGraph` with one source.
     """
-    from scipy.sparse import csgraph
-
-    face_graph = GalleryGraph(complex_, len(face) - 1).face_graph
-    return csgraph.shortest_path(
-        face_graph, unweighted=True, indices=complex_.index_of(face)
-    )
+    graph = GalleryGraph(complex_, len(face) - 1)
+    dist = graph._levels(np.array([complex_.index_of(face)]))[:, 0]
+    return np.where(dist == np.iinfo(dist.dtype).max - 1, INF, dist)
 
 
 def _length(dist: float):

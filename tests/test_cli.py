@@ -265,10 +265,10 @@ def test_distortion_eval_names_first_unfillable_member(runner, tmp_path):
 
 def test_sampling_commands_import_no_scipy_linear_algebra(tmp_path):
     # lmgen, concentration, distortion eval at k=1 and k=2 (with a searched
-    # row), gallery connected, the dense spectrum and verify all compute with
-    # numpy alone, so a fresh process that runs them must not pay for
-    # importing scipy's sparse and linalg packages; gallery dist loads them on
-    # first use in the same process
+    # row), gallery connected, gallery dist, the dense spectrum and verify all
+    # compute with numpy alone, so a fresh process that runs them must not pay
+    # for importing scipy's sparse and linalg packages; differential_matrix
+    # loads them on first use in the same process
     import os
     import subprocess
     import sys
@@ -307,10 +307,12 @@ def test_sampling_commands_import_no_scipy_linear_algebra(tmp_path):
         run("spectrum", "--complex", {str(paths[1])!r}, "--k", "1")
         run("verify", "all", "--complex", {str(paths[1])!r}, "--k", "1",
             "--embedding", "gaussian:4:1", "--out", {str(verify)!r})
+        run("gallery", "dist", "--complex", {str(paths[1])!r}, "0,1", "2,3")
         loaded = sorted(name for name in sys.modules
                         if name.startswith(("scipy.sparse", "scipy.linalg")))
         assert not loaded, loaded
-        run("gallery", "dist", "--complex", {str(paths[1])!r}, "0,1", "2,3")
+        simdist.cochains.differential_matrix(
+            simdist.complexes.load_complex({str(paths[1])!r}), 1)
         assert "scipy.sparse" in sys.modules
     """)
     src = str(Path(simdist.__file__).resolve().parents[1])

@@ -573,8 +573,8 @@ def test_derived_data_holds_no_reference_cycle():
     assert compute_hypotheses(x, 2).gallery_connected
     differential_matrix(x, 2)  # eval's dense spectrum builds no scipy matrix
     assert {key[0] for key in x._cache} >= {
-        "differential", "rank", "spectrum", "gallery labels", "face neighbours",
-        "face graph", "node adjacency",
+        "differential", "rank", "spectrum", "gallery labels", "coface table",
+        "node adjacency",
     }
     ref = weakref.ref(x)
     gc.disable()

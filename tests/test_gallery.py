@@ -17,6 +17,7 @@ from simdist.gallery import (
     is_gallery_connected,
 )
 from simdist.random_complexes import LmParams, linial_meshulam
+from test_cochains import _annulus
 
 INF = math.inf
 
@@ -513,58 +514,77 @@ def star_tables_oracle(complex_, k):
     return tables
 
 
-def _level_cap_cases():
-    """Complexes, their degree and face rows whose faces share a component."""
+def _face_search_cases():
+    """Complexes, their degree, face rows whose faces share a component, and
+    the dtype of their face tables."""
     def members(x, k, vertices):
         rows = np.array(list(combinations(vertices, k + 2)))
         return x.facet_indices(rows)
 
     for n, p, k, seed in [(11, 0.5, 1, 1), (9, 0.5, 2, 2)]:
         x = linial_meshulam(LmParams(n, p, k, seed=seed))
-        yield x, k, members(x, k, range(n))
+        yield x, k, members(x, k, range(n)), np.uint8
     # two components; rows stay inside one
     first, second = (linial_meshulam(LmParams(8, 0.6, 1, seed=s)).simplex_rows(2)
                      for s in (1, 3))
     x = build_complex(np.concatenate([first, second + 8]).tolist())
-    yield x, 1, np.concatenate([members(x, 1, range(8)), members(x, 1, range(8, 16))])
+    yield (x, 1, np.concatenate([members(x, 1, range(8)), members(x, 1, range(8, 16))]),
+           np.uint8)
     # the edges (0, 9) and (4, 10) lie in no triangle; the first sits between
     # edges that do, the second comes last
     x = build_complex([(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 9), (4, 10)])
     yield x, 1, np.array([[x.index_of(f) for f in faces] for faces in (
-        [(0, 1), (1, 3), (2, 4)], [(0, 2), (1, 2), (3, 4)], [(0, 1), (0, 2), (1, 2)])])
-    # 300 levels, far past the cap and past uint8
+        [(0, 1), (1, 3), (2, 4)], [(0, 2), (1, 2), (3, 4)], [(0, 1), (0, 2), (1, 2)])]), np.uint8
+    # 300 levels, past uint8
     x = build_complex([(i, i + 1) for i in range(300)])
-    yield x, 0, x.facet_indices(np.array([[0, 300], [5, 280], [7, 9]]))
+    yield x, 0, x.facet_indices(np.array([[0, 300], [5, 280], [7, 9]])), np.uint16
+    # a cycle of 1,040 edges and 261 levels, past uint8 and past 8 bit planes
+    x = _annulus(260)
+    yield x, 1, np.array([[x.index_of(f) for f in faces] for faces in (
+        [(0, 1), (130, 131), (200, 201)], [(0, 260), (65, 66), (1, 2)],
+        [(0, 1), (0, 260), (1, 260)])]), np.uint16
 
 
-@pytest.mark.parametrize("levels", [1, gallery_module.MSBFS_LEVELS])
-def test_face_search_level_cap_from_both_sides(monkeypatch, levels):
-    # at 0 levels every source goes to csgraph's breadth-first search; at 1
-    # almost every source does, and at the default none on the LM samples
-    for x, k, rows in _level_cap_cases():
+def test_face_search_matches_node_bfs(monkeypatch):
+    # the face tables equal a plain BFS over the nodes, and the fills built
+    # on them equal those built on the oracle's tables
+    for x, k, rows, dtype in _face_search_cases():
         simplices = x.simplices(k)
         sets = [[simplices[i] for i in row] for row in rows]
-        monkeypatch.setattr(gallery_module, "MSBFS_LEVELS", 0)
         graph = GalleryGraph(x, k)
-        expected = (graph.fill_numbers(rows),
-                    [fill_number(x, faces) for faces in sets])
-        monkeypatch.setattr(gallery_module, "MSBFS_LEVELS", levels)
-        graph = GalleryGraph(x, k)
-        everything = np.arange(len(simplices))
-        unfinished = graph._levels(everything, np.uint8)[1]
-        assert unfinished.any() == (levels == 1 or k == 0)
-        tables = graph.face_tables(everything)
-        assert tables.dtype == (np.uint16 if k == 0 else np.uint8)
-        marker = np.iinfo(tables.dtype).max
-        oracle = star_tables_oracle(x, k)
-        assert tables.tolist() == [[marker if t is None else t for t in row]
-                                   for row in oracle]
+        tables = graph.face_tables(np.arange(len(simplices)))
+        assert tables.dtype == dtype
+        marker = np.iinfo(dtype).max
+        oracle = np.array([[marker if t is None else t for t in row]
+                           for row in star_tables_oracle(x, k)], dtype=dtype)
+        assert tables.tolist() == oracle.tolist()
+        with monkeypatch.context() as patch:
+            patch.setattr(GalleryGraph, "face_tables", lambda self, faces: oracle[faces])
+            expected = (graph.fill_numbers(rows),
+                        [fill_number(x, faces) for faces in sets])
         assert graph.fill_numbers(rows).tolist() == expected[0].tolist()
         for faces, reference in zip(sets, expected[1]):
             result = fill_number(x, faces)
             assert result.witness == reference.witness
             assert result.states_visited == reference.states_visited
             assert result.exact == reference.exact
+
+
+def test_face_tables_widen_between_blocks(monkeypatch):
+    # a path of 300 edges and a disjoint edge, one source per block: the
+    # middle vertex is at most 150 steps from any node, so its block comes
+    # back uint8; vertex 0's block needs uint16, which widens the first row
+    # and moves its unreached marker from 255 to 65535
+    x = build_complex([(i, i + 1) for i in range(300)] + [(301, 302)])
+    monkeypatch.setattr(gallery_module, "BLOCK_ENTRIES", x.simplex_count(0))
+    graph = GalleryGraph(x, 0)
+    assert graph.face_tables([150]).dtype == np.uint8
+    tables = graph.face_tables([150, 0])
+    assert tables.dtype == np.uint16
+    assert tables[:, -1].tolist() == [65535, 65535]
+    oracle = star_tables_oracle(x, 0)
+    assert tables.tolist() == [[65535 if t is None else t for t in oracle[f]]
+                               for f in (150, 0)]
 
 
 def test_fill_numbers_raise_for_the_first_unfillable_row():
