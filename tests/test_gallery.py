@@ -570,6 +570,31 @@ def test_face_search_matches_node_bfs(monkeypatch):
             assert result.exact == reference.exact
 
 
+@pytest.mark.parametrize("levels", [1, 8])
+def test_face_search_level_cap_from_both_sides(levels):
+    # `levels` bit planes hold distances up to 2**levels - 1; paths whose last
+    # level sits just below, at and just past that cap need one more plane
+    # (at 8, one more byte pass) on the far side, and past 253 levels uint16
+    cap = 2 ** levels - 1
+    for last in (n for n in (cap - 2, cap - 1, cap, cap + 1) if n >= 1):
+        # a path of `last` edges and a disjoint edge that no source reaches
+        x = build_complex([(i, i + 1) for i in range(last)] + [(last + 1, last + 2)])
+        dtype = np.uint8 if last + 2 <= 255 else np.uint16
+        graph = GalleryGraph(x, 0)
+        dist = graph._levels(np.array([0]))
+        assert dist.dtype == dtype
+        marker = np.iinfo(dtype).max
+        assert dist[:, 0].tolist() == list(range(last + 1)) + [marker - 1] * 2
+        tables = graph.face_tables(np.arange(x.simplex_count(0)))
+        assert tables.dtype == dtype
+        assert tables.tolist() == [[marker if t is None else t for t in row]
+                                   for row in star_tables_oracle(x, 0)]
+        ends = x.facet_indices(np.array([[0, last]]))
+        assert graph.fill_numbers(ends).tolist() == [last]
+        assert fill_number(x, [(0,), (last,)]).exact == last
+        assert gallery_distance(x, (0,), (last,)) == last
+
+
 def test_face_tables_widen_between_blocks(monkeypatch):
     # a path of 300 edges and a disjoint edge, one source per block: the
     # middle vertex is at most 150 steps from any node, so its block comes
