@@ -18,6 +18,13 @@ a few calls for the sub-millisecond ones) and the peak RSS in MB from
                  with the RSS growth of both
     annulus760   face tables of all 3,040 edges of a 760-step annulus
                  (761 levels), and of 4 of them
+    strip5000    gallery_distance between the end edges of a 5,000-step
+                 strip (10,000 levels), the one-source search of `gallery
+                 dist`: the first call, which builds what the complex keeps,
+                 and the best of two more
+    book5000     on a book of 5,000 triangles sharing the edge (0, 1), whose
+                 one face holds every coface: gallery_distance between two
+                 page edges, then the face tables of the spine and 3 pages
 """
 
 from __future__ import annotations
@@ -30,7 +37,8 @@ import subprocess
 import sys
 import time
 
-CASES = ("eval80", "tables80", "tables120", "graph200", "annulus760")
+CASES = ("eval80", "tables80", "tables120", "graph200", "annulus760", "strip5000",
+         "book5000")
 
 
 def _peak_mb() -> float:
@@ -47,13 +55,23 @@ def _annulus(steps: int):
     return build_complex(tops)
 
 
+def _strip(steps: int):
+    from simdist.complexes import build_complex
+
+    tops = []
+    for i in range(steps):
+        tops += [(i, steps + 1 + i, i + 1), (steps + 1 + i, steps + 2 + i, i + 1)]
+    return build_complex(tops)
+
+
 def run_case(case: str) -> dict:
     import numpy as np
 
+    from simdist.complexes import build_complex
     from simdist.distortion import (
         compute_hypotheses, evaluate_distortion, vertex_set_family,
     )
-    from simdist.gallery import GalleryGraph
+    from simdist.gallery import GalleryGraph, gallery_distance
     from simdist.geometry import Embedding
     from simdist.random_complexes import LmParams, linial_meshulam
 
@@ -92,6 +110,25 @@ def run_case(case: str) -> dict:
             graph.face_tables(np.array([0, 700, 1500, 3000]))
             few.append(time.perf_counter() - start)
         out["four_tables_s"] = min(few)
+    elif case == "strip5000":
+        x = _strip(5000)
+        ends = (0, 5001), (5000, 10001)
+        calls = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert gallery_distance(x, *ends) == 10000
+            calls.append(time.perf_counter() - start)
+        out["first_dist_s"] = calls[0]
+        out["dist_s"] = min(calls[1:])
+    elif case == "book5000":
+        x = build_complex([(0, 1, i) for i in range(2, 5002)])
+        start = time.perf_counter()
+        assert gallery_distance(x, (0, 2), (1, 3)) == 2
+        out["dist_s"] = time.perf_counter() - start
+        faces = [x.index_of(f) for f in [(0, 1), (0, 2), (1, 3), (0, 5001)]]
+        start = time.perf_counter()
+        GalleryGraph(x, 1).face_tables(faces)
+        out["four_tables_s"] = time.perf_counter() - start
     else:
         raise SystemExit(f"unknown case {case!r}; choose from {', '.join(CASES)}")
     out["peak_rss_mb"] = _peak_mb()

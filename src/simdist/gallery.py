@@ -46,19 +46,29 @@ class UnfillableError(ValueError):
     """Some pair of the face set cannot be joined by any gallery."""
 
 
-def _coface_table(complex_: SimplicialComplex, k: int) -> np.ndarray:
-    """The cofaces of each k-face as one read-only (faces, most cofaces)
-    array, kept on the complex per k. A face's cofaces come first, in
-    increasing order; the rest of its row is n_{k+1}, one past the last
-    (k+1)-simplex, which holds no coface and so always pads."""
+def _coface_table(complex_: SimplicialComplex, k: int):
+    """The cofaces of each k-face, kept on the complex per k, in the hybrid
+    layout of Bell and Garland (SC 2009): a read-only (faces, width) table
+    that holds each face's first `width` cofaces in increasing order, padded
+    with n_{k+1}, one past the last (k+1)-simplex; and, for the busy faces
+    that have more, the rest as a CSR over those faces (busy, starts, rest).
+    The width is at most twice the mean coface count plus 2, so the table
+    holds at most twice as many entries as the incidences and faces, and
+    one busy face costs only its own cofaces."""
     def build():
         indptr, cofaces = complex_.coface_csr(k)
         sizes = np.diff(indptr)
-        table = np.full((len(sizes), max(1, int(sizes.max(initial=0)))),
-                        complex_.simplex_count(k + 1), dtype=np.intp)
+        width = max(1, min(int(sizes.max(initial=0)),
+                           2 * (len(cofaces) + len(sizes)) // max(1, len(sizes))))
+        table = np.full((len(sizes), width), complex_.simplex_count(k + 1), dtype=np.intp)
         owner = np.repeat(np.arange(len(sizes)), sizes)
-        table[owner, np.arange(len(cofaces)) - indptr[owner]] = cofaces
-        return _read_only(table)
+        column = np.arange(len(cofaces)) - indptr[owner]
+        fits = column < width
+        table[owner[fits], column[fits]] = cofaces[fits]
+        extra = np.maximum(sizes - width, 0)
+        busy = np.flatnonzero(extra)
+        starts = np.cumsum(extra[busy]) - extra[busy]
+        return tuple(map(_read_only, (table, busy, starts, cofaces[~fits])))
 
     return complex_._cached(("coface table", k), build)
 
@@ -201,8 +211,9 @@ class GalleryGraph:
         The search of Then et al. (PVLDB 8(4), 2014): each face keeps one bit
         per source in packed uint64 words, and a level moves every source at
         once. Each node holds the OR of its k-faces' frontier words, and a
-        face reaches the OR over its cofaces minus what it has seen; the
-        coface table's pad reads a zero row past the last node. Levels run
+        face reaches the OR over its cofaces minus what it has seen: the
+        coface table's columns, whose pad reads a zero row past the last
+        node, and one `reduceat` over the busy faces' other cofaces. Levels run
         until no source advances. Bit b of the levels that reach each face
         collects in a plane of its own, so the distances are unpacked once, a
         byte of planes at a time. Returns a (faces, sources) array of `dtype`,
@@ -214,7 +225,7 @@ class GalleryGraph:
         start[sources, np.arange(count)] = False
         unseen = np.packbits(start, axis=1, bitorder="little").view(np.uint64)
         frontier = ~unseen
-        cofaces = _coface_table(self.complex, self.k)
+        cofaces, busy, starts, rest = _coface_table(self.complex, self.k)
         held = np.zeros((self.num_nodes + 1, unseen.shape[1]), dtype=np.uint64)
         body = held[:-1]
         planes = []
@@ -226,6 +237,9 @@ class GalleryGraph:
             frontier = held.take(cofaces[:, 0], axis=0)
             for column in cofaces.T[1:]:
                 frontier |= held.take(column, axis=0)
+            if len(busy):
+                frontier[busy] |= np.bitwise_or.reduceat(
+                    held.take(rest, axis=0), starts, axis=0)
             frontier &= unseen
             if not frontier.any():
                 break

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -535,6 +536,14 @@ def _face_search_cases():
     x = build_complex([(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 9), (4, 10)])
     yield x, 1, np.array([[x.index_of(f) for f in faces] for faces in (
         [(0, 1), (1, 3), (2, 4)], [(0, 2), (1, 2), (3, 4)], [(0, 1), (0, 2), (1, 2)])]), np.uint8
+    # busy faces, with more cofaces than the coface table is wide: the spine
+    # (0, 1) of a book of 9 pages with a strip off its last page, and the hub
+    # of a star of 9 edges with a tail
+    x = build_complex([(0, 1, i) for i in range(2, 11)] + [(1, 10, 11), (10, 11, 12)])
+    yield x, 1, np.array([[x.index_of(f) for f in faces] for faces in (
+        [(0, 2), (0, 3), (11, 12)], [(0, 1), (1, 5), (10, 12)], [(0, 4), (1, 4), (0, 1)])]), np.uint8
+    x = build_complex([(0, i) for i in range(1, 10)] + [(9, 10), (10, 11)])
+    yield x, 0, np.array([[1, 2, 11], [0, 5, 10], [3, 4, 0]]), np.uint8
     # 300 levels, past uint8
     x = build_complex([(i, i + 1) for i in range(300)])
     yield x, 0, x.facet_indices(np.array([[0, 300], [5, 280], [7, 9]])), np.uint16
@@ -610,6 +619,35 @@ def test_face_tables_widen_between_blocks(monkeypatch):
     oracle = star_tables_oracle(x, 0)
     assert tables.tolist() == [[65535 if t is None else t for t in oracle[f]]
                                for f in (150, 0)]
+
+
+def test_busy_face_costs_only_its_cofaces():
+    # a book of 5,000 triangles on the edge (0, 1), and a star of 5,000 edges
+    # on vertex 0: one face holds every coface, yet the coface table stays
+    # within twice the incidences and faces, and a search allocates a few MB
+    pages = 5000
+    book = build_complex([(0, 1, i) for i in range(2, pages + 2)])
+    star = build_complex([(0, i) for i in range(1, pages + 1)])
+    tracemalloc.start()
+    try:
+        for x, k, hub, leaf, other in [(book, 1, (0, 1), (0, 2), (1, 3)),
+                                       (star, 0, (0,), (1,), (2,))]:
+            assert gallery_distance(x, hub, leaf) == 1
+            assert gallery_distance(x, leaf, other) == 2
+            table, busy, _, rest = gallery_module._coface_table(x, k)
+            assert busy.tolist() == [x.index_of(hub)]
+            assert table.size <= 2 * (x.simplex_count(k + 1) * (k + 2) + x.simplex_count(k))
+            assert table.shape[1] + len(rest) == pages
+            graph = GalleryGraph(x, k)
+            tables = graph.face_tables([x.index_of(hub), x.index_of(leaf)])
+            assert (tables[0] == 1).all()
+            assert sorted(np.flatnonzero(tables[1] == 1)) == x.coface_indices(k, x.index_of(leaf))
+            assert (tables[1] <= 2).all()
+            faces = [x.index_of(leaf), x.index_of(other), x.index_of(hub)]
+            assert graph.fill_numbers([faces]).tolist() == [2]
+        assert tracemalloc.get_traced_memory()[1] < 16 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_fill_numbers_raise_for_the_first_unfillable_row():
