@@ -23,6 +23,7 @@ from .complexes import (
     _read_only,
     sort_with_sign,
 )
+from .gallery import _components
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -510,25 +511,39 @@ def _entries_rank(rows, cols, values, shape) -> int:
     return rank + _rank_over_rationals(core)
 
 
-def _coboundary_rank(complex_: SimplicialComplex, k: int) -> int:
-    """Exact rank of d_k, with the columns of the k-simplices through vertex 0 left out.
+def _least_vertices(complex_: SimplicialComplex) -> np.ndarray:
+    """Mask of the vertices that are the least of their component of the
+    1-skeleton, kept on the complex for the ranks of every degree."""
+    def build():
+        _, labels = _components(complex_.num_vertices, *complex_.simplex_rows(1).T)
+        least = np.zeros(complex_.num_vertices, dtype=bool)
+        least[np.unique(labels, return_index=True)[1]] = True
+        return _read_only(least)
 
-    Those columns lie in the span of the others: for a k-simplex {0} + rho,
+    return complex_._cached(("least vertices",), build)
+
+
+def _coboundary_rank(complex_: SimplicialComplex, k: int) -> int:
+    """Exact rank of d_k, with the columns of the k-simplices whose first
+    vertex is the least vertex of its component left out.
+
+    Those columns lie in the span of the others: for a k-simplex {v} + rho,
+    v the least vertex of the component of the 1-skeleton that holds it,
     d_k d_{k-1} e_rho = 0 writes its column through the columns of the other
-    k-simplices containing rho, none of which contains vertex 0 (at k=0 the
-    rows sum to zero). Without them every (k+1)-simplex through vertex 0 is
-    a singleton row of the rest, which starts the peel of `exact_rank`.
-    Vertex 0's k-simplices come first in canonical order. The entries are
-    those of `differential_matrix`, taken from the facet table without
-    building it. Ranked once per complex and degree.
+    k-simplices containing rho, each rho joined to another vertex of that
+    component, so none starts at v (at k=0 the rows of a component sum to
+    zero). No simplex spans two components, so this holds in each of them.
+    Without those columns every (k+1)-simplex through a least vertex is a
+    singleton row of the rest, which starts the peel of `exact_rank`. The
+    entries are those of `differential_matrix`, taken from the facet table
+    without building it. Ranked once per complex and degree.
     """
     def build():
-        through = int(np.searchsorted(complex_.simplex_rows(k)[:, 0], 1))
+        kept = ~_least_vertices(complex_)[complex_.simplex_rows(k)[:, 0]]
         cols, signs = _coboundary_entries(complex_, k)
-        rows, at = np.nonzero(cols >= through)
+        rows, at = np.nonzero(kept[cols])
         return _entries_rank(
-            rows, cols[rows, at] - through, signs[at],
-            (len(cols), complex_.simplex_count(k) - through),
+            rows, cols[rows, at], signs[at], (len(cols), complex_.simplex_count(k)),
         )
 
     return complex_._cached(("rank", k), build)

@@ -293,6 +293,7 @@ class GalleryGraph:
             for first in range(0, dist.shape[1], width):
                 part = self._nearest(dist[:, first:first + width]).T + 1
                 tables[start + first:start + first + len(part)] = part
+            del dist, part  # free the block before the next one's search
         return tables
 
     def steiner_tables(self, tables: np.ndarray, caps: np.ndarray):

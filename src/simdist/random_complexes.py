@@ -148,9 +148,7 @@ def _colex_facets(n: int, size: int) -> np.ndarray:
     return table
 
 
-# Floor on the uniforms drawn per chunk. A chunk is also never shorter than
-# the C(N, k+1) faces, so the zero-fill of each bincount's minlength stays
-# within the chunk's own draw (a fixed 2**16 made it most of the time at N=600).
+# Floor on the uniforms drawn per run of whole blocks (see skeleton_statistics).
 _DRAW_CHUNK = 1 << 16
 
 
@@ -160,24 +158,43 @@ def skeleton_statistics(params: LmParams) -> tuple[int, int, int]:
 
     The uniform at position r decides the subset of colex rank r, so the
     included subsets are the positions of the draws below p, and the degrees
-    are bincounts of their facet ranks. The draws are taken in chunks from
-    one generator, which yields the same stream as one long draw, so memory
-    beside the cached facet table is O(max(_DRAW_CHUNK, C(N, k+1))).
+    are bincounts of their facet ranks. The tops with largest vertex m are
+    the block of ranks C(m, k+2) .. C(m+1, k+2) - 1, m joined to each
+    (k+1)-subset S of range(m) in colex order, as in `_colex_facets`: the
+    facet without m is S, whose rank is the top's place in the block, and the
+    facet without another vertex is m joined to a facet of S, whose rank is
+    C(m, k+1) more than that facet's, read off the table one size down. The
+    draws come from one generator in runs of whole blocks, at least
+    _DRAW_CHUNK long, which yield the same stream as one long draw. Each
+    facet is counted into the faces a run can reach: those without m rank
+    below C(m, k+1), and those through m rank from C(m, k+1) to
+    C(m+1, k+1) - 1. Memory is O((k+1) C(N, k+1) + _DRAW_CHUNK).
     """
     n, size = params.num_vertices, params.k + 2
-    total, n_faces = math.comb(n, size), math.comb(n, size - 1)
-    facets = _colex_facets(n, size)
+    top_starts = np.array([math.comb(m, size) for m in range(n + 1)])
+    face_starts = np.array([math.comb(m, size - 1) for m in range(n + 1)])
+    ends = [size - 1]
+    for m in range(size, n + 1):
+        if m == n or top_starts[m] - top_starts[ends[-1]] >= _DRAW_CHUNK:
+            ends.append(m)
+    lower = _colex_facets(n, size - 1)
     rng = np.random.Generator(np.random.Philox(key=params.seed))
-    buf = np.empty(min(total, max(_DRAW_CHUNK, n_faces)))
-    degrees = np.zeros(n_faces, dtype=np.int64)
+    buf = np.empty(int(np.diff(top_starts[ends]).max()))
+    degrees = np.zeros(face_starts[n], dtype=np.int64)
     count = 0
-    for start in range(0, total, len(buf)):
-        draws = rng.random(out=buf[:total - start])
-        tops = np.flatnonzero(draws < params.p)
-        tops += start
+    for m0, m1 in zip(ends, ends[1:]):
+        offsets = top_starts[m0:m1 + 1] - top_starts[m0]
+        tops = np.flatnonzero(rng.random(out=buf[:offsets[-1]]) < params.p)
         count += len(tops)
-        for row in facets:
-            degrees += np.bincount(row.take(tops), minlength=n_faces)
+        per_block = np.diff(np.searchsorted(tops, offsets))
+        tops -= np.repeat(offsets[:-1], per_block)  # now each top's place in its block
+        without = np.bincount(tops)
+        degrees[:len(without)] += without
+        shift = np.repeat(face_starts[m0:m1] - face_starts[m0], per_block)
+        through = degrees[face_starts[m0]:]
+        for row in lower:
+            hits = np.bincount(row.take(tops) + shift)
+            through[:len(hits)] += hits
     return count, int(degrees.max()), int(degrees.min())
 
 
@@ -256,9 +273,9 @@ def concentration_report(
     last_seed = params.seed + trials - 1
     if last_seed >= 2**64:
         raise ValueError(f"seed of the last trial, {last_seed}, must fit in 64 bits")
-    # Build the shared facet table before the workers read it: lru_cache
-    # would let two threads build it at once.
-    _colex_facets(n, k + 2)
+    # Build the facet table the workers share before they start, so that no
+    # two threads build it at once: lru_cache does not lock its build.
+    _colex_facets(n, k + 1)
 
     trial_params = [LmParams(n, p, k, params.seed + t) for t in range(trials)]
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")

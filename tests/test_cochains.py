@@ -1,4 +1,3 @@
-import bisect
 import math
 import tracemalloc
 from fractions import Fraction
@@ -23,7 +22,13 @@ from simdist.cochains import (
     spectrum,
     upper_laplacian,
 )
-from simdist.complexes import DegreeError, NotPureError, build_complex, complete_complex
+from simdist.complexes import (
+    DegreeError,
+    NotPureError,
+    SimplicialComplex,
+    build_complex,
+    complete_complex,
+)
 from simdist.random_complexes import LmParams, linial_meshulam
 
 
@@ -415,9 +420,13 @@ def _random_pure_complexes(count, seed):
 
 
 def _core_entries(x, k):
-    """Nonzeros left after the peel of d_k without vertex 0's star columns."""
-    through = bisect.bisect_left(x.simplices(k), (1,))
-    entries = cochains_module._integer_entries(differential_matrix(x, k)[:, through:])
+    """Nonzeros left after the peel of d_k without the star columns of the
+    least vertex of each component."""
+    labels = cochains_module._components(x.num_vertices, *x.simplex_rows(1).T)[1]
+    least = np.zeros(x.num_vertices, dtype=bool)
+    least[np.unique(labels, return_index=True)[1]] = True
+    kept = ~least[x.simplex_rows(k)[:, 0]]
+    entries = cochains_module._integer_entries(differential_matrix(x, k)[:, kept])
     _, rows, _, _ = cochains_module._peel_singletons(*entries)
     return rows.size
 
@@ -433,6 +442,31 @@ def test_coboundary_rank_matches_fraction_oracle():
             cores += _core_entries(x, k) > 0
     assert _core_entries(_rp2(), 1) > 0  # the two-prime path on a core runs
     assert cores > 2
+
+
+def _two_copies(x):
+    """The disjoint union of x and x with every vertex moved up by its size."""
+    shift = x.num_vertices
+    blocks = [x.simplex_rows(d) for d in range(x.dim + 1)]
+    return SimplicialComplex.from_rows(*blocks, *(rows + shift for rows in blocks))
+
+
+def test_coboundary_rank_peels_every_component(monkeypatch):
+    # Leaving out only vertex 0's star left the second copy a dense core,
+    # 133 x 66 at k=1 and 66 x 12 at k=0; one component's peel leaves none.
+    def no_core(matrix, p):
+        raise AssertionError(f"ranked a {matrix.shape} core")
+
+    monkeypatch.setattr(cochains_module, "_rank_mod_p", no_core)
+    one = linial_meshulam(LmParams(12, 0.6, 1, seed=3))
+    two = _two_copies(one)
+    assert two.num_vertices == 24 and two.f_vector() == tuple(2 * c for c in one.f_vector())
+    for k in (0, 1):
+        single = cochains_module._coboundary_rank(one, k)
+        assert single == np.linalg.matrix_rank(differential_matrix(one, k).toarray())
+        assert cochains_module._coboundary_rank(two, k) == 2 * single
+    assert cochains_module._coboundary_rank(two, 0) == 2 * (12 - 1)
+    assert cohomology_dim(two, 0) == 1
 
 
 def test_exact_rank_fraction_fallback(monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -152,26 +153,100 @@ def test_statistics_match_sample_oracle():
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])
 def test_statistics_across_draw_chunks(monkeypatch, chunk):
-    # A small floor leaves chunks C(N, k+1) long, so the grid's draws end on
-    # partial chunks and cross chunks with no draw below p.
+    # A small floor makes runs of one or a few whole blocks, so the grid's
+    # draws cross runs with no draw below p.
     monkeypatch.setattr(random_complexes, "_DRAW_CHUNK", chunk)
     for params in ORACLE_GRID:
         assert skeleton_statistics(params) == brute_force_statistics(params), params
 
 
-def test_statistics_match_one_long_draw():
-    # C(80, 3) = 82,160 draws: more than one default chunk.
-    params = LmParams(80, 0.3, 1, seed=5)
-    total = math.comb(80, 3)
-    assert total > random_complexes._DRAW_CHUNK
+def full_table_statistics(params):
+    """Count, max and min k-face degree from one long draw and bincounts of
+    the rows of the full (k+2)-subset facet table."""
+    n, size = params.num_vertices, params.k + 2
     rng = np.random.Generator(np.random.Philox(key=params.seed))
-    tops = np.flatnonzero(rng.random(total) < params.p)
+    tops = np.flatnonzero(rng.random(math.comb(n, size)) < params.p)
     degrees = sum(
-        np.bincount(row[tops], minlength=math.comb(80, 2))
-        for row in _colex_facets(80, 3)
+        np.bincount(row[tops], minlength=math.comb(n, size - 1))
+        for row in _colex_facets(n, size)
     )
-    expected = (len(tops), int(degrees.max()), int(degrees.min()))
+    return len(tops), int(degrees.max()), int(degrees.min())
+
+
+def test_statistics_match_one_long_draw():
+    # C(80, 3) = 82,160 draws: more than one default run.
+    params = LmParams(80, 0.3, 1, seed=5)
+    assert math.comb(80, 3) > random_complexes._DRAW_CHUNK
+    assert skeleton_statistics(params) == full_table_statistics(params)
+
+
+@pytest.mark.parametrize("n, k", [(60, 2), (30, 3)])
+def test_statistics_match_full_table(n, k):
+    for p in (0.0, 0.3, 1.0):
+        for seed in (0, 1, 17):
+            params = LmParams(n, p, k, seed)
+            assert skeleton_statistics(params) == full_table_statistics(params), params
+
+
+def record_runs(monkeypatch):
+    """The lengths of the draws skeleton_statistics takes, in order."""
+    runs = []
+    generator = np.random.Generator
+
+    class RecordingGenerator:
+        def __init__(self, bit_generator):
+            self.generator = generator(bit_generator)
+
+        def random(self, out):
+            runs.append(len(out))
+            return self.generator.random(out=out)
+
+    monkeypatch.setattr(random_complexes.np.random, "Generator", RecordingGenerator)
+    return runs
+
+
+def block_ends(n, size):
+    """Colex ranks where the blocks of subsets by largest vertex end."""
+    return {math.comb(m, size) for m in range(size, n + 1)}
+
+
+@pytest.mark.parametrize("floor, runs_expected", [(1, 38), (math.comb(40, 3), 1)])
+def test_statistics_runs_of_whole_blocks(monkeypatch, floor, runs_expected):
+    # Floor 1 draws each block as its own run, up to C(39, 2) = 741 long;
+    # a floor of all C(40, 3) draws takes the 38 blocks in one run.
+    params = LmParams(40, 0.3, 1, seed=4)
+    expected = full_table_statistics(params)
+    monkeypatch.setattr(random_complexes, "_DRAW_CHUNK", floor)
+    runs = record_runs(monkeypatch)
     assert skeleton_statistics(params) == expected
+    assert len(runs) == runs_expected
+    assert max(runs) == (math.comb(39, 2) if floor == 1 else math.comb(40, 3))
+    assert set(np.cumsum(runs).tolist()) <= block_ends(40, 3)
+
+
+def test_statistics_default_runs_span_blocks(monkeypatch):
+    params = LmParams(80, 0.3, 1, seed=5)
+    expected = full_table_statistics(params)
+    runs = record_runs(monkeypatch)
+    assert skeleton_statistics(params) == expected
+    ends = np.cumsum(runs)
+    assert ends[-1] == math.comb(80, 3) and set(ends.tolist()) <= block_ends(80, 3)
+    assert all(run >= random_complexes._DRAW_CHUNK for run in runs[:-1])
+    assert len(runs) < 80 - 2  # so some run holds several blocks
+
+
+def test_statistics_memory_stays_below_top_level_table():
+    # The old (k+2) x C(N, k+2) int32 facet table alone took 131 MB here. The
+    # bound is one 4-byte entry per (k+2)-subset, so no int32 or wider array
+    # over the C(120, 4) subsets fits under it; the measured peak is 13-18 MB.
+    _colex_facets.cache_clear()
+    tracemalloc.start()
+    try:
+        skeleton_statistics(LmParams(120, 0.1, 2, seed=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * math.comb(120, 4)
 
 
 def test_purity_iff_min_degree_positive():
