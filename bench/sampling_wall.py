@@ -1,21 +1,27 @@
-"""Wall timings and peak memory of `concentration` at the sizes where its
-facet ranks are the limit.
+"""Wall timings and peak memory of `concentration`, `lmgen` and the
+Linial–Meshulam build at the sizes where sampling is the limit.
 
 Usage (from the repository root):
     python3 bench/sampling_wall.py [--src DIR] [--repeat N] [CASE ...]
 
 Each run of a case starts a fresh interpreter that imports simdist from DIR
 (default ./src), so two checkouts can be timed with one copy of this script.
-It runs `simdist concentration --eps 0.5 --seed 1 --out FILE` through the
-CLI's entry point and prints one JSON line per run: the case, the command's
-time in seconds after `import simdist.cli`, the peak RSS in MB from
-`ru_maxrss`, and the sha256 of the written document, so that two checkouts
+A `conc*` case runs `simdist concentration --eps 0.5 --seed 1 --out FILE`
+and an `lmgen*` case `simdist lmgen --seed 1 --out FILE`, both through the
+CLI's entry point. `build200` builds `linial_meshulam(LmParams(200, 0.15, 1,
+1))` once untimed and five times timed, reports the median, and writes the
+last complex with `save_complex_text`. Each run prints one JSON line: the
+case, the time in seconds after `import simdist.cli`, the peak RSS in MB
+from `ru_maxrss`, and the sha256 of the written file, so that two checkouts
 can be checked for the same output. The cases:
 
     conc200      N=200 p=0.5 k=1, 25 trials (the benchmark's `sample` job)
     conc600      N=600 p=0.05 k=1, 4 trials
     conc120k2    N=120 p=0.1 k=2, 4 trials
     conc200k2    N=200 p=0.05 k=2, 2 trials
+    lmgen300     N=300 p=0.05 k=1
+    lmgen600     N=600 p=0.05 k=1
+    build200     N=200 p=0.15 k=1, warm
 """
 
 from __future__ import annotations
@@ -25,17 +31,37 @@ import hashlib
 import json
 import os
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
 import time
 
+# case: (command, n, p, k, trials of a concentration run)
 CASES = {
-    "conc200": (200, 0.5, 1, 25),
-    "conc600": (600, 0.05, 1, 4),
-    "conc120k2": (120, 0.1, 2, 4),
-    "conc200k2": (200, 0.05, 2, 2),
+    "conc200": ("concentration", 200, 0.5, 1, 25),
+    "conc600": ("concentration", 600, 0.05, 1, 4),
+    "conc120k2": ("concentration", 120, 0.1, 2, 4),
+    "conc200k2": ("concentration", 200, 0.05, 2, 2),
+    "lmgen300": ("lmgen", 300, 0.05, 1, None),
+    "lmgen600": ("lmgen", 600, 0.05, 1, None),
+    "build200": ("build", 200, 0.15, 1, None),
 }
+
+
+def warm_build_seconds(n: int, p: float, k: int, out: str) -> float:
+    from simdist.complexes import save_complex_text
+    from simdist.random_complexes import LmParams, linial_meshulam
+
+    params = LmParams(n, p, k, 1)
+    linial_meshulam(params)
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        complex_ = linial_meshulam(params)
+        times.append(time.perf_counter() - start)
+    save_complex_text(complex_, out)
+    return statistics.median(times)
 
 
 def run_case(case: str) -> dict:
@@ -43,19 +69,24 @@ def run_case(case: str) -> dict:
 
     if case not in CASES:
         raise SystemExit(f"unknown case {case!r}; choose from {', '.join(CASES)}")
-    n, p, k, trials = CASES[case]
+    command, n, p, k, trials = CASES[case]
     with tempfile.TemporaryDirectory() as work:
-        out = os.path.join(work, "concentration.json")
-        argv = ["concentration", "--n", str(n), "--p", str(p), "--k", str(k),
-                "--eps", "0.5", "--trials", str(trials), "--seed", "1", "--out", out]
-        start = time.perf_counter()
-        main.main(args=argv, prog_name="simdist", standalone_mode=False)
-        elapsed = time.perf_counter() - start
+        out = os.path.join(work, "out")
+        if command == "build":
+            elapsed = warm_build_seconds(n, p, k, out)
+        else:
+            argv = [command, "--n", str(n), "--p", str(p), "--k", str(k),
+                    "--seed", "1", "--out", out]
+            if command == "concentration":
+                argv += ["--eps", "0.5", "--trials", str(trials)]
+            start = time.perf_counter()
+            main.main(args=argv, prog_name="simdist", standalone_mode=False)
+            elapsed = time.perf_counter() - start
         with open(out, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
     return {
         "case": case,
-        "concentration_s": elapsed,
+        f"{command}_s": elapsed,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "sha256": digest,
     }

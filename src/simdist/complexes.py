@@ -153,7 +153,7 @@ class SimplicialComplex:
     """
 
     __slots__ = ("dim", "labels", "_label_to_id", "_rows", "_facets", "_tuples",
-                 "_indexes", "_cofaces", "_weights", "_pure", "_cache", "__weakref__")
+                 "_indexes", "_cofaces", "_pure", "_cache", "__weakref__")
 
     def __init__(self, generating_simplices, *, allow_empty: bool = False):
         self._build(_generating_rows(generating_simplices), allow_empty)
@@ -211,6 +211,24 @@ class SimplicialComplex:
             if k > 0:
                 keep = [[c for c in range(k + 1) if c != j] for j in range(k + 1)]
                 facets = level[:, keep].reshape(-1, k)
+        self._derive()
+
+    @classmethod
+    def _from_levels(cls, rows: tuple, facets: tuple) -> "SimplicialComplex":
+        """The complex whose level k is `rows[k]`, in canonical order, with
+        facet table `facets[k - 1]` (k >= 1). Level 0 must be the vertices
+        0..N-1, which are also the labels; nothing is sorted or checked."""
+        complex_ = cls.__new__(cls)
+        complex_.labels = tuple(range(len(rows[0])))
+        complex_._label_to_id = None
+        complex_.dim = len(rows) - 1
+        complex_._rows = [_read_only(level) for level in rows]
+        complex_._facets = [None] + [_read_only(table) for table in facets]
+        complex_._derive()
+        return complex_
+
+    def _derive(self) -> None:
+        """Coface CSR and purity from the levels and facet tables."""
         self._tuples = [None] * (self.dim + 1)
         self._indexes = [None] * (self.dim + 1)
 
@@ -225,21 +243,32 @@ class SimplicialComplex:
             np.cumsum(np.bincount(facets, minlength=n_faces), out=indptr[1:])
             indices = np.argsort(facets, kind="stable") // (k + 2)
             self._cofaces.append((_read_only(indptr), _read_only(indices)))
-
-        # weight recursion: w_n = 1 on top simplices; w_k(t) = sum of w_{k+1}
-        # over cofaces of t, which equals (n-k)! * #{top simplices containing t}.
-        # The top level has no cofaces, so its sums are 0 and it adds the 1.
-        # Object arrays keep the sums exact Python integers.
-        self._weights: list[list[int]] = []
-        up = np.zeros(0, dtype=object)
-        for k in range(self.dim, -1, -1):
-            indptr, indices = self._cofaces[k]
-            sums = np.zeros(len(indices) + 1, dtype=object)
-            np.cumsum(up[indices], out=sums[1:])
-            up = sums[indptr[1:]] - sums[indptr[:-1]] + int(k == self.dim)
-            self._weights.insert(0, up.tolist())
-        self._pure = all(min(level, default=1) > 0 for level in self._weights)
+        # Pure iff every simplex below the top dimension has a coface: then,
+        # level by level down from the top, each lies in a top simplex.
+        self._pure = all(bool((indptr[1:] > indptr[:-1]).all())
+                         for indptr, _ in self._cofaces[:-1])
         self._cache: dict = {}
+
+    def _level_weights(self) -> list[list[int]]:
+        """The weights of every level, made on first use.
+
+        Weight recursion: w_n = 1 on top simplices; w_k(t) = sum of w_{k+1}
+        over cofaces of t, which equals (n-k)! * #{top simplices containing
+        t}. The top level has no cofaces, so its sums are 0 and it adds the
+        1. Object arrays keep the sums exact Python integers.
+        """
+        def build():
+            weights = []
+            up = np.zeros(0, dtype=object)
+            for k in range(self.dim, -1, -1):
+                indptr, indices = self._cofaces[k]
+                sums = np.zeros(len(indices) + 1, dtype=object)
+                np.cumsum(up[indices], out=sums[1:])
+                up = sums[indptr[1:]] - sums[indptr[:-1]] + int(k == self.dim)
+                weights.insert(0, up.tolist())
+            return weights
+
+        return self._cached(("weights",), build)
 
     # -- basic queries ------------------------------------------------------
 
@@ -359,14 +388,14 @@ class SimplicialComplex:
             raise NotPureError("weights are only defined on pure complexes")
         if k < 0 or k > self.dim:
             raise DegreeError(f"no weights in dimension {k}")
-        return self._weights[k]
+        return self._level_weights()[k]
 
     def weight(self, simplex) -> int:
         """(n-k)! times the number of top simplices containing ``simplex``."""
         if not self._pure:
             raise NotPureError("weights are only defined on pure complexes")
         s = _canonical(simplex)
-        return self._weights[len(s) - 1][self.index_of(s)]
+        return self._level_weights()[len(s) - 1][self.index_of(s)]
 
     def _cached(self, key: tuple, build):
         """The derived value kept under `key`, made by `build()` on first use.
@@ -481,21 +510,23 @@ def load_complex(path) -> SimplicialComplex:
     return SimplicialComplex._from_sorted_rows(blocks)
 
 
-def _maximal_labels(complex_: SimplicialComplex) -> list[list[int]]:
-    labels = np.array(complex_.labels, dtype=np.int64)
-    return [row for rows in complex_._maximal_rows() for row in labels[rows].tolist()]
-
-
 def save_complex_text(complex_: SimplicialComplex, path) -> None:
-    lines = [" ".join(map(str, row)) for row in _maximal_labels(complex_)]
+    """One line per maximal simplex. Each level's lines are formatted by one
+    `%` per block of 2^16 rows over their labels, so memory stays bounded."""
+    labels = np.array(complex_.labels, dtype=np.int64)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for rows in complex_._maximal_rows():
+            line = " ".join(["%d"] * rows.shape[1]) + "\n"
+            for start in range(0, len(rows), 1 << 16):
+                block = labels[rows[start:start + (1 << 16)]]
+                fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def save_complex_json(complex_: SimplicialComplex, path) -> None:
+    labels = np.array(complex_.labels, dtype=np.int64)
+    maximal = [row for rows in complex_._maximal_rows() for row in labels[rows].tolist()]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"maximal": _maximal_labels(complex_)}, fh, separators=(",", ":"),
-                  sort_keys=True)
+        json.dump({"maximal": maximal}, fh, separators=(",", ":"), sort_keys=True)
         fh.write("\n")
 
 

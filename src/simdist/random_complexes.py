@@ -65,15 +65,6 @@ def colex_rank(subset) -> int:
     return sum(math.comb(a, j + 1) for j, a in enumerate(subset))
 
 
-def _comb_table(n: int, max_size: int) -> np.ndarray:
-    table = np.zeros((n + 1, max_size + 1), dtype=np.int64)
-    table[:, 0] = 1
-    for v in range(1, n + 1):
-        for j in range(1, max_size + 1):
-            table[v, j] = table[v - 1, j - 1] + table[v - 1, j]
-    return table
-
-
 def _all_subsets(n: int, size: int) -> np.ndarray:
     """The size-subsets of range(n), size >= 1, as sorted rows in the order
     of `itertools.combinations`. The subsets one wider with least vertex a
@@ -89,35 +80,46 @@ def _all_subsets(n: int, size: int) -> np.ndarray:
     return rows
 
 
-def _subset_ranks(subsets: np.ndarray, table: np.ndarray) -> np.ndarray:
-    ranks = np.zeros(len(subsets), dtype=np.int64)
-    for j in range(subsets.shape[1]):
-        ranks += table[subsets[:, j], j + 1]
+@lru_cache(maxsize=32)
+def _mirrored_binomials(n: int, i: int) -> np.ndarray:
+    """C(n - 1 - a, i) for a in range(n), read-only."""
+    binomials = np.array([math.comb(n - 1 - a, i) for a in range(n)], dtype=np.int64)
+    binomials.flags.writeable = False
+    return binomials
+
+
+def _lex_ranks(columns, n: int) -> np.ndarray:
+    """Ranks of sorted rows, given by their columns, among the subsets of
+    range(n) of their size in lex order, the order of `_all_subsets`.
+
+    lex(S) = C(n, |S|) - 1 - colex(n - 1 - S). The mirror n - 1 - S holds
+    S's columns last to first, so the vertex a in column j of w adds
+    C(n - 1 - a, w - j) to the mirror's colex rank.
+    """
+    width = len(columns)
+    ranks = math.comb(n, width) - 1
+    for j, column in enumerate(columns):
+        ranks = ranks - _mirrored_binomials(n, width - j)[column]
     return ranks
 
 
+def _lex_facets(rows: np.ndarray, n: int) -> np.ndarray:
+    """Facet table of sorted rows of subsets of range(n): entry [i, j] is
+    the lex rank of row i without column j, found with no sort."""
+    columns = list(rows.T)
+    return np.column_stack([_lex_ranks(columns[:j] + columns[j + 1:], n)
+                            for j in range(len(columns))])
+
+
 @lru_cache(maxsize=8)
-def _subset_rank_cache(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Subsets plus colex ranks; shared across trials with the same shape."""
-    subsets = _all_subsets(n, size)
-    ranks = _subset_ranks(subsets, _comb_table(n, size))
-    return subsets, ranks
-
-
-def top_simplex_sample(params: LmParams) -> np.ndarray:
-    """Included (k+2)-subsets as a sorted-row integer array."""
-    n, size = params.num_vertices, params.k + 2
-    total = math.comb(n, size)
-    rng = np.random.Generator(np.random.Philox(key=params.seed))
-    uniforms = rng.random(total)
-    subsets, ranks = _subset_rank_cache(n, size)
-    return subsets[uniforms[ranks] < params.p]
-
-
-def linial_meshulam(params: LmParams) -> SimplicialComplex:
-    """Sample the model as a full complex (complete k-skeleton plus the tops)."""
-    skeleton = _all_subsets(params.num_vertices, params.k + 1)
-    return SimplicialComplex.from_rows(skeleton, top_simplex_sample(params))
+def _skeleton(n: int, k: int) -> tuple[tuple, tuple]:
+    """Levels 0..k of the complete complex on range(n) in lex order, and the
+    facet tables of levels 1..k, read-only."""
+    rows = tuple(_all_subsets(n, size) for size in range(1, k + 2))
+    facets = tuple(_lex_facets(level, n) for level in rows[1:])
+    for array in rows + facets:
+        array.flags.writeable = False
+    return rows, facets
 
 
 @lru_cache(maxsize=8)
@@ -148,52 +150,92 @@ def _colex_facets(n: int, size: int) -> np.ndarray:
     return table
 
 
-# Floor on the uniforms drawn per run of whole blocks (see skeleton_statistics).
+# Floor on the uniforms drawn per run of whole blocks (see _block_runs).
 _DRAW_CHUNK = 1 << 16
+
+
+def _block_runs(params: LmParams):
+    """The tops as (m0, m1, places, per_block), one run of whole blocks at
+    a time. The uniform at position r decides the subset of colex rank r,
+    and the block of the tops with largest vertex m is m joined to each
+    (k+1)-subset of range(m) in colex order, as in `_colex_facets`. The runs
+    are at least _DRAW_CHUNK draws of one generator, the same stream as one
+    long draw. A run holds blocks m0 .. m1 - 1, per_block[m - m0] tops in
+    block m, each given by its place in its block, in colex order.
+    """
+    n, size = params.num_vertices, params.k + 2
+    top_starts = [math.comb(m, size) for m in range(n + 1)]
+    ends = [size - 1]
+    for m in range(size, n + 1):
+        if m == n or top_starts[m] - top_starts[ends[-1]] >= _DRAW_CHUNK:
+            ends.append(m)
+    rng = np.random.Generator(np.random.Philox(key=params.seed))
+    buf = np.empty(max(top_starts[b] - top_starts[a] for a, b in zip(ends, ends[1:])))
+    top_starts = np.array(top_starts)
+    for m0, m1 in zip(ends, ends[1:]):
+        offsets = top_starts[m0:m1 + 1] - top_starts[m0]
+        places = np.flatnonzero(rng.random(out=buf[:offsets[-1]]) < params.p)
+        per_block = np.searchsorted(places, offsets)
+        per_block = per_block[1:] - per_block[:-1]
+        places -= np.repeat(offsets[:-1], per_block)
+        yield m0, m1, places, per_block
+
+
+def top_simplex_sample(params: LmParams) -> np.ndarray:
+    """Included (k+2)-subsets as sorted rows in lex order.
+
+    Each top is m joined to the (k+1)-subset at its place among the colex
+    rows one size down, the lex rows mirrored (n - 1 - S). The tops come in
+    colex order and are sorted into lex order once. Memory is
+    O(tops + C(N, k+1) + _DRAW_CHUNK).
+    """
+    n, k = params.num_vertices, params.k
+    lower = (n - 1) - _skeleton(n, k)[0][k][::-1, ::-1]
+    tops = np.concatenate([
+        np.column_stack([lower[places], np.repeat(np.arange(m0, m1), per_block)])
+        for m0, m1, places, per_block in _block_runs(params)])
+    return tops[np.argsort(_lex_ranks(list(tops.T), n))]
+
+
+def linial_meshulam(params: LmParams) -> SimplicialComplex:
+    """Sample the model as a full complex (complete k-skeleton plus the tops).
+
+    Levels 0..k and their facet tables are the cached `_skeleton`, and the
+    tops' facet table is their facets' lex ranks, so no level is sorted.
+    """
+    n = params.num_vertices
+    rows, facets = _skeleton(n, params.k)
+    tops = top_simplex_sample(params)
+    if len(tops):
+        rows, facets = rows + (tops,), facets + (_lex_facets(tops, n),)
+    return SimplicialComplex._from_levels(rows, facets)
 
 
 def skeleton_statistics(params: LmParams) -> tuple[int, int, int]:
     """(top simplex count, max k-face degree, min k-face degree) without
     materializing the complex; degrees run over all C(N, k+1) k-subsets.
 
-    The uniform at position r decides the subset of colex rank r, so the
-    included subsets are the positions of the draws below p, and the degrees
-    are bincounts of their facet ranks. The tops with largest vertex m are
-    the block of ranks C(m, k+2) .. C(m+1, k+2) - 1, m joined to each
-    (k+1)-subset S of range(m) in colex order, as in `_colex_facets`: the
-    facet without m is S, whose rank is the top's place in the block, and the
-    facet without another vertex is m joined to a facet of S, whose rank is
-    C(m, k+1) more than that facet's, read off the table one size down. The
-    draws come from one generator in runs of whole blocks, at least
-    _DRAW_CHUNK long, which yield the same stream as one long draw. Each
-    facet is counted into the faces a run can reach: those without m rank
-    below C(m, k+1), and those through m rank from C(m, k+1) to
-    C(m+1, k+1) - 1. Memory is O((k+1) C(N, k+1) + _DRAW_CHUNK).
+    The degrees are bincounts of the facet ranks of each run of
+    `_block_runs`: a top's facet without m ranks as its place, and its facet
+    without another vertex is m joined to a facet of the place, C(m, k+1)
+    more than that facet's rank, read off the table one size down. Each
+    bincount covers only the faces the run can reach: below C(m, k+1)
+    without m, from C(m0, k+1) on through m. Memory is
+    O((k+1) C(N, k+1) + _DRAW_CHUNK).
     """
     n, size = params.num_vertices, params.k + 2
-    top_starts = np.array([math.comb(m, size) for m in range(n + 1)])
     face_starts = np.array([math.comb(m, size - 1) for m in range(n + 1)])
-    ends = [size - 1]
-    for m in range(size, n + 1):
-        if m == n or top_starts[m] - top_starts[ends[-1]] >= _DRAW_CHUNK:
-            ends.append(m)
     lower = _colex_facets(n, size - 1)
-    rng = np.random.Generator(np.random.Philox(key=params.seed))
-    buf = np.empty(int(np.diff(top_starts[ends]).max()))
     degrees = np.zeros(face_starts[n], dtype=np.int64)
     count = 0
-    for m0, m1 in zip(ends, ends[1:]):
-        offsets = top_starts[m0:m1 + 1] - top_starts[m0]
-        tops = np.flatnonzero(rng.random(out=buf[:offsets[-1]]) < params.p)
-        count += len(tops)
-        per_block = np.diff(np.searchsorted(tops, offsets))
-        tops -= np.repeat(offsets[:-1], per_block)  # now each top's place in its block
-        without = np.bincount(tops)
+    for m0, m1, places, per_block in _block_runs(params):
+        count += len(places)
+        without = np.bincount(places)
         degrees[:len(without)] += without
         shift = np.repeat(face_starts[m0:m1] - face_starts[m0], per_block)
         through = degrees[face_starts[m0]:]
         for row in lower:
-            hits = np.bincount(row.take(tops) + shift)
+            hits = np.bincount(row.take(places) + shift)
             through[:len(hits)] += hits
     return count, int(degrees.max()), int(degrees.min())
 

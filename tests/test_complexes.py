@@ -18,7 +18,8 @@ from simdist.complexes import (
     save_complex_json,
     save_complex_text,
 )
-from simdist.random_complexes import LmParams, linial_meshulam, top_simplex_sample
+from simdist.random_complexes import LmParams, linial_meshulam
+from test_random_complexes import LM_GRID, philox_tops
 
 
 def test_single_triangle_closure():
@@ -119,7 +120,7 @@ def _assert_matches_oracle(x, generating):
         indptr, indices = x.coface_csr(k)
         assert [indices[a:b].tolist() for a, b in zip(indptr, indptr[1:])] == cofaces[k]
     assert x.is_pure == all(w > 0 for level in weights for w in level)
-    assert x._weights == weights
+    assert x._level_weights() == weights
     if x.is_pure:
         assert [x.weights_of_dim(k) for k in range(x.dim + 1)] == weights
 
@@ -143,11 +144,14 @@ def test_build_matches_set_closure_oracle(simplices):
 
 
 def test_lm_build_matches_set_closure_oracle():
-    for n, p, k, seed in [(9, 0.4, 1, 3), (7, 0.5, 2, 1), (6, 0.0, 1, 2)]:
-        x = linial_meshulam(LmParams(n, p, k, seed))
+    # The tops come straight from the Philox stream, not from the sampler.
+    for params in LM_GRID + [LmParams(9, 0.4, 1, 3), LmParams(7, 0.5, 2, 1)]:
+        n, k = params.num_vertices, params.k
+        if n > 12:
+            continue  # N=80 is left to the generic-build comparison
         generating = list(combinations(range(n), k + 1))
-        generating += list(map(tuple, top_simplex_sample(LmParams(n, p, k, seed)).tolist()))
-        _assert_matches_oracle(x, generating)
+        generating += list(map(tuple, philox_tops(params).tolist()))
+        _assert_matches_oracle(linial_meshulam(params), generating)
 
 
 def test_redundant_entries_absorbed():

@@ -2,12 +2,14 @@ import math
 import os
 import tracemalloc
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from simdist import random_complexes
+from simdist.complexes import SimplicialComplex
 from simdist.random_complexes import (
     LmParams,
     _all_subsets,
@@ -100,6 +102,79 @@ def test_different_seeds_independent():
     assert 0.15 < float(np.mean(overlaps)) < 0.55
 
 
+@lru_cache(maxsize=None)
+def philox_tops(params):
+    """The tops straight from the Philox stream: one draw of C(N, k+2)
+    uniforms, where the one at position r keeps the subset of colex rank r
+    when it is below p, and the kept subsets sorted lex."""
+    n, size = params.num_vertices, params.k + 2
+    rng = np.random.Generator(np.random.Philox(key=params.seed))
+    uniforms = rng.random(math.comb(n, size))
+    by_colex = sorted(combinations(range(n), size), key=colex_rank)
+    kept = sorted(s for s, u in zip(by_colex, uniforms) if u < params.p)
+    return np.array(kept, dtype=np.int64).reshape(-1, size)
+
+
+# k = 0..3 from N = k+2 up, at p = 0 and 1 and between (some of those draws
+# are not pure), and N=80 k=1, whose C(80, 3) = 82,160 draws take two runs.
+LM_GRID = [
+    LmParams(n, p, k, seed)
+    for k in range(4)
+    for n in (k + 2, k + 4, k + 6)
+    for p in (0.0, 0.3, 1.0)
+    for seed in (0, 2)
+] + [LmParams(80, 0.3, 1, seed=5)]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, random_complexes._DRAW_CHUNK])
+def test_sample_matches_philox_reference(monkeypatch, chunk):
+    # Floors of 1 and 7 draw one or a few whole blocks per run.
+    assert math.comb(80, 3) > random_complexes._DRAW_CHUNK
+    monkeypatch.setattr(random_complexes, "_DRAW_CHUNK", chunk)
+    for params in LM_GRID:
+        tops = top_simplex_sample(params)
+        assert tops.dtype == np.int64, params
+        assert np.array_equal(tops, philox_tops(params)), params
+
+
+def assert_same_complex(x, y):
+    assert (x.labels, x.dim, x.is_pure) == (y.labels, y.dim, y.is_pure)
+    assert x._level_weights() == y._level_weights()
+    for k in range(y.dim + 1):
+        arrays = [(x.simplex_rows(k), y.simplex_rows(k)),
+                  *zip(x.coface_csr(k), y.coface_csr(k))]
+        if k:
+            arrays.append((x.facet_table(k), y.facet_table(k)))
+        for a, b in arrays:
+            assert a.dtype == b.dtype and np.array_equal(a, b), k
+
+
+def test_lm_build_matches_generic_build():
+    purity = set()
+    for params in LM_GRID:
+        n, k = params.num_vertices, params.k
+        x = linial_meshulam(params)
+        assert_same_complex(
+            x, SimplicialComplex.from_rows(_all_subsets(n, k + 1), philox_tops(params)))
+        if x.dim == k + 1:
+            purity.add(x.is_pure)
+    assert purity == {True, False}
+
+
+def test_sample_memory_stays_below_one_value_per_subset():
+    # The old sampler kept every (k+2)-subset and its colex rank, 4 C(150, 3)
+    # int64 values (17.6 MB), beside C(150, 3) float64 draws. The bound is
+    # one 8-byte value per (k+2)-subset, so no int64 or float64 array over
+    # the subsets fits under it; the measured peak is about 2 MB.
+    tracemalloc.start()
+    try:
+        top_simplex_sample(LmParams(150, 0.05, 1, seed=3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * math.comb(150, 3)
+
+
 def test_fast_statistics_match_complex():
     for seed in range(4):
         params = LmParams(9, 0.4, 1, seed=seed)
@@ -125,8 +200,8 @@ def test_colex_facets_match_colex_rank():
 
 
 def brute_force_statistics(params):
-    """Count, max and min k-face degree from the rows of top_simplex_sample."""
-    rows = top_simplex_sample(params).tolist()
+    """Count, max and min k-face degree from the rows of philox_tops."""
+    rows = philox_tops(params).tolist()
     if not rows:
         return 0, 0, 0
     degrees = Counter(
