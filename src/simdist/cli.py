@@ -8,6 +8,7 @@ failure, 2 input errors.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import sys
 
@@ -107,7 +108,7 @@ def spectrum_command(complex_path, k, tolerance, out):
     result = spectrum(complex_, k, tolerance)
     payload = {
         "config": {"complex": complex_path, "k": k, "tolerance": tolerance},
-        "result": result.to_dict(),
+        "result": result,
     }
     _emit(payload, out)
 
@@ -167,7 +168,8 @@ def gallery_fill(complex_path, faces, out):
     except UnfillableError as exc:
         _emit({"config": config, "result": {"unfillable": True, "reason": str(exc)}}, out)
         return
-    payload = {"config": config, "result": result.to_dict(complex_)}
+    witness = tuple(map(complex_.to_labels, result.witness))
+    payload = {"config": config, "result": dataclasses.replace(result, witness=witness)}
     _emit(payload, out)
 
 
@@ -190,7 +192,7 @@ def concentration(n, p, k, eps, trials, seed, fmt, out):
         payload = {
             "config": {"n": n, "p": p, "k": k, "eps": eps, "trials": trials,
                        "seed": seed},
-            "result": report.to_dict(),
+            "result": report,
         }
         _emit(payload, out)
 
@@ -252,7 +254,7 @@ def distortion_eval(complex_path, embedding_spec, k, tolerance, out):
     payload = {
         "config": {"complex": complex_path, "embedding": embedding_spec,
                    "k": k, "tolerance": tolerance},
-        "result": report.to_dict(),
+        "result": report,
     }
     _emit(payload, out)
 
@@ -270,7 +272,7 @@ def distortion_bound(complex_path, k, tolerance, out):
     result = distortion_lower_bound(complex_, family, tolerance=tolerance)
     payload = {
         "config": {"complex": complex_path, "k": k, "tolerance": tolerance},
-        "result": result.to_dict(),
+        "result": result,
     }
     _emit(payload, out)
     if not result.applicable:
@@ -300,7 +302,7 @@ def distortion_lm_experiment(n, p, k, trials, seed, embedding_spec, fmt, out):
         payload = {
             "config": {"n": n, "p": p, "k": k, "trials": trials, "seed": seed,
                        "embedding": embedding_spec},
-            "result": report.to_dict(),
+            "result": report,
         }
         _emit(payload, out)
 

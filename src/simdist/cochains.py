@@ -289,15 +289,6 @@ class SpectralResult:
     tolerance: float
     dense: bool = True
 
-    def to_dict(self) -> dict:
-        return {
-            "eigenvalues": [float(x) for x in self.eigenvalues],
-            "zero_multiplicity": self.zero_multiplicity,
-            "lambda_min_nonzero": self.lambda_min_nonzero,
-            "tolerance": self.tolerance,
-            "dense": self.dense,
-        }
-
 
 def spectrum(
     complex_: SimplicialComplex,

@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import serialize
 from .cochains import (  # noqa: F401 - perfbench/tracing.py wraps differential_matrix here
     DEFAULT_TOLERANCE,
     Cochain,
@@ -90,10 +91,11 @@ class HypothesisReport:
     lambda_min_nonzero: float | None
     spectral_zero_multiplicity: int | None
     tolerance: float
+    lambda_at_least_half: bool = field(init=False)
 
-    @property
-    def lambda_at_least_half(self) -> bool:
-        return self.lambda_min_nonzero is not None and self.lambda_min_nonzero >= 0.5
+    def __post_init__(self):
+        lam = self.lambda_min_nonzero
+        self.lambda_at_least_half = lam is not None and lam >= 0.5
 
     def all_hold(self, *, require_gallery: bool = True) -> bool:
         ok = self.pure and self.cohomology_zero and self.lambda_min_nonzero is not None
@@ -110,18 +112,6 @@ class HypothesisReport:
             self.lambda_at_least_half,
         )
         return "".join("1" if b else "0" for b in bits)
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "pure": self.pure,
-            "gallery_connected": self.gallery_connected,
-            "cohomology_zero": self.cohomology_zero,
-            "lambda_min_nonzero": self.lambda_min_nonzero,
-            "spectral_zero_multiplicity": self.spectral_zero_multiplicity,
-            "lambda_at_least_half": self.lambda_at_least_half,
-            "tolerance": self.tolerance,
-        }
 
 
 def compute_hypotheses(
@@ -230,21 +220,9 @@ class InequalityCheck:
     margin: float | None
     l: float | None
     s: int
-    lam: float | None
+    lam: float | None = field(metadata={"key": "lambda"})
     hypotheses: HypothesisReport
     applicable: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "l": self.l,
-            "s": self.s,
-            "lambda": self.lam,
-            "applicable": self.applicable,
-            "hypotheses": self.hypotheses.to_dict(),
-        }
 
 
 def cochain_energy_inequality(
@@ -349,7 +327,7 @@ class DistortionBound:
     s: int
     d_max: int
     l: float | None
-    lam: float | None
+    lam: float | None = field(metadata={"key": "lambda"})
     first_factor: float | None
     second_factor: float | None
     second_factor_cap: float | None
@@ -358,28 +336,6 @@ class DistortionBound:
     applicable: bool
     bound: float | None
     hypotheses: HypothesisReport
-
-    def to_dict(self) -> dict:
-        out = {
-            "k": self.k,
-            "n": self.n,
-            "family_size": self.family_size,
-            "num_k_simplices": self.num_k_simplices,
-            "num_top_simplices": self.num_top_simplices,
-            "s": self.s,
-            "d_max": self.d_max,
-            "l": self.l,
-            "lambda": self.lam,
-            "first_factor": self.first_factor,
-            "second_factor": self.second_factor,
-            "second_factor_cap": self.second_factor_cap,
-            "counting_chain_ok": self.counting_chain_ok,
-            "vacuous": self.vacuous,
-            "applicable": self.applicable,
-            "bound": self.bound,
-            "hypotheses": self.hypotheses.to_dict(),
-        }
-        return out
 
 
 def distortion_lower_bound(
@@ -475,24 +431,8 @@ class DistortionReport:
     exact_fill: bool
     hypotheses: HypothesisReport
     bound: DistortionBound | None
-    members: list[MemberEvaluation] = field(default_factory=list, repr=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "family_size": self.family_size,
-            "evaluated_members": self.evaluated_members,
-            "sup_forward_lo": self.sup_forward_lo,
-            "sup_forward_hi": self.sup_forward_hi,
-            "sup_backward_lo": self.sup_backward_lo,
-            "sup_backward_hi": self.sup_backward_hi,
-            "distortion_lo": self.distortion_lo,
-            "distortion_hi": self.distortion_hi,
-            "infinite": self.infinite,
-            "exact_fill": self.exact_fill,
-            "hypotheses": self.hypotheses.to_dict(),
-            "bound": None if self.bound is None else self.bound.to_dict(),
-        }
+    members: list[MemberEvaluation] = field(
+        default_factory=list, repr=False, metadata={"key": None})
 
 
 def evaluate_distortion(
@@ -639,7 +579,7 @@ class TrialRecord:
     seed: int
     n: int
     p: float
-    lam: float | None
+    lam: float | None = field(metadata={"key": "lambda"})
     l: float | None
     s: int
     d_max: int
@@ -651,26 +591,6 @@ class TrialRecord:
     infinite: bool
     applicable: bool
     consistent: bool | None
-
-    def to_dict(self) -> dict:
-        return {
-            "trial": self.trial,
-            "seed": self.seed,
-            "n": self.n,
-            "p": self.p,
-            "lambda": self.lam,
-            "l": self.l,
-            "s": self.s,
-            "d_max": self.d_max,
-            "bound": self.bound,
-            "measured_lo": self.measured_lo,
-            "measured_hi": self.measured_hi,
-            "hypotheses": self.hypotheses.to_dict(),
-            "exact_fill": self.exact_fill,
-            "infinite": self.infinite,
-            "applicable": self.applicable,
-            "consistent": self.consistent,
-        }
 
     def csv_row(self) -> list:
         return [
@@ -701,24 +621,10 @@ class ExperimentReport:
     consistent: int
     reference_constant: float
     reference_bound: float | None
+    pass_rate: float | None = field(init=False)
 
-    @property
-    def pass_rate(self) -> float | None:
-        return None if self.checked == 0 else self.consistent / self.checked
-
-    def to_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "embedding": self.embedding,
-            "trials": self.trials,
-            "hypotheses_ok": self.hypotheses_ok,
-            "checked": self.checked,
-            "consistent": self.consistent,
-            "pass_rate": self.pass_rate,
-            "reference_constant": self.reference_constant,
-            "reference_bound": self.reference_bound,
-            "records": [r.to_dict() for r in self.records],
-        }
+    def __post_init__(self):
+        self.pass_rate = None if self.checked == 0 else self.consistent / self.checked
 
 
 def lm_distortion_experiment(
@@ -823,7 +729,7 @@ def verify_instance(
     ok = report["checks"]["dd_zero"]
 
     hyp = compute_hypotheses(complex_, k, tolerance)
-    report["hypotheses"] = hyp.to_dict()
+    report["hypotheses"] = serialize.document(hyp)
 
     adj_worst = ray_worst = 0.0
     if complex_.is_pure and k <= complex_.dim - 1:

@@ -448,20 +448,6 @@ class FillResult:
     budget_exhausted: bool = False
     states_visited: int = 0
 
-    def to_dict(self, complex_: SimplicialComplex | None = None) -> dict:
-        witness = [
-            [int(v) for v in (complex_.to_labels(s) if complex_ else s)]
-            for s in self.witness
-        ]
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "exact": self.exact,
-            "witness": witness,
-            "budget_exhausted": self.budget_exhausted,
-            "states_visited": self.states_visited,
-        }
-
 
 def _splits(subset: int):
     """Proper parts of a face bitmask that hold its lowest face, so each
@@ -586,23 +572,6 @@ class GalleryLinkReport:
     @property
     def passed(self) -> bool:
         return self.local_holds and self.inductive_holds
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "local_pairs_checked": self.local_pairs_checked,
-            "local_vacuous_pairs": self.local_vacuous_pairs,
-            "local_holds": self.local_holds,
-            "local_counterexample": (
-                None
-                if self.local_counterexample is None
-                else [list(s) for s in self.local_counterexample]
-            ),
-            "inductive_hypotheses_met": self.inductive_hypotheses_met,
-            "inductive_conclusion": self.inductive_conclusion,
-            "inductive_holds": self.inductive_holds,
-            "passed": self.passed,
-        }
 
 
 def _link_components(

@@ -11,12 +11,13 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .complexes import SimplicialComplex
+from .serialize import document
 
 __all__ = [
     "ConcentrationReport",
@@ -34,7 +35,7 @@ class LmParams:
     """Parameters of the X_{k+1}(N, p) model: complete k-skeleton on N
     vertices, each (k+2)-subset a top simplex independently with probability p."""
 
-    num_vertices: int
+    num_vertices: int = field(metadata={"key": "n"})
     p: float
     k: int
     seed: int
@@ -50,14 +51,6 @@ class LmParams:
             raise ValueError(f"probability p={self.p} outside [0, 1]")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.num_vertices,
-            "p": self.p,
-            "k": self.k,
-            "seed": self.seed,
-        }
 
 
 def colex_rank(subset) -> int:
@@ -261,43 +254,10 @@ class ConcentrationReport:
     purity_frequency: float
     counts: list[int]
 
-    def to_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "epsilon": self.epsilon,
-            "trials": self.trials,
-            "count_event_frequency": self.count_event_frequency,
-            "degree_event_frequency": self.degree_event_frequency,
-            "min_degree_event_frequency": self.min_degree_event_frequency,
-            "count_tail_bound": self.count_tail_bound,
-            "degree_tail_bound": self.degree_tail_bound,
-            "min_degree_tail_bound": self.min_degree_tail_bound,
-            "mean_top_count": self.mean_top_count,
-            "expected_top_count": self.expected_top_count,
-            "top_count_std_error": self.top_count_std_error,
-            "purity_frequency": self.purity_frequency,
-            "counts": self.counts,
-        }
-
     def csv_rows(self) -> tuple[list[str], list[list]]:
-        header = [
-            "n", "p", "k", "seed", "epsilon", "trials",
-            "count_event_frequency", "degree_event_frequency",
-            "min_degree_event_frequency", "count_tail_bound",
-            "degree_tail_bound", "min_degree_tail_bound",
-            "mean_top_count", "expected_top_count", "top_count_std_error",
-            "purity_frequency",
-        ]
-        row = [
-            self.params.num_vertices, self.params.p, self.params.k,
-            self.params.seed, self.epsilon, self.trials,
-            self.count_event_frequency, self.degree_event_frequency,
-            self.min_degree_event_frequency, self.count_tail_bound,
-            self.degree_tail_bound, self.min_degree_tail_bound,
-            self.mean_top_count, self.expected_top_count,
-            self.top_count_std_error, self.purity_frequency,
-        ]
-        return header, [row]
+        cells = {**document(self.params), **document(self)}
+        del cells["params"], cells["counts"]
+        return list(cells), [list(cells.values())]
 
 
 def concentration_report(

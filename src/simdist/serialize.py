@@ -3,16 +3,34 @@
 Floats are written with 17 significant digits (round-trip exact), dict keys
 are sorted, and the decimal separator is always '.', so identical inputs
 produce byte-identical output across runs and platforms.
+
+A dataclass is written as its fields, each under its own name: a field whose
+`metadata["key"]` is set is written under that key instead, and a key of
+None leaves the field out.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
+from functools import cache
 
 import numpy as np
 
-__all__ = ["dumps", "format_float", "to_csv"]
+__all__ = ["document", "dumps", "format_float", "to_csv"]
+
+
+@cache
+def _keys(cls) -> tuple[tuple[str, str], ...]:
+    """(attribute, key) of each written field, read once per class."""
+    pairs = ((f.name, f.metadata.get("key", f.name)) for f in fields(cls))
+    return tuple((name, key) for name, key in pairs if key is not None)
+
+
+def document(obj) -> dict:
+    """The dict a dataclass is written as; nested dataclasses stay objects."""
+    return {key: getattr(obj, name) for name, key in _keys(type(obj))}
 
 
 def format_float(value: float) -> str:
@@ -60,6 +78,8 @@ def _encode(obj, pieces: list, indent: int, level: int) -> None:
             _encode(item, pieces, indent, level + 1)
             pieces.append(",\n" if i + 1 < len(items) else "\n")
         pieces.append(pad + "]")
+    elif hasattr(type(obj), "__dataclass_fields__"):
+        _encode(document(obj), pieces, indent, level)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 

@@ -83,6 +83,14 @@ CASES = [
      ["distortion", "lm-experiment", "--n", "9", "--p", "0.6", "--k", "1",
       "--trials", "3", "--seed", "5", "--embedding", "gaussian:3:1",
       "--format", "csv"], 0),
+    ("lm_experiment_k1.json",
+     ["distortion", "lm-experiment", "--n", "9", "--p", "0.6", "--k", "1",
+      "--trials", "3", "--seed", "5", "--embedding", "gaussian:3:1"], 0),
+    # trials 0 and 3 are not pure: null fields, no applicable trial, and a
+    # null pass_rate
+    ("lm_experiment_k2.json",
+     ["distortion", "lm-experiment", "--n", "7", "--p", "0.5", "--k", "2",
+      "--trials", "4", "--seed", "1", "--embedding", "gaussian:4:1"], 0),
     ("concentration_k1.json",
      ["concentration", "--n", "30", "--p", "0.5", "--k", "1", "--eps", "0.5",
       "--trials", "6", "--seed", "7"], 0),

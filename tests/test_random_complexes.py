@@ -8,7 +8,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from simdist import random_complexes
+from simdist import random_complexes, serialize
 from simdist.complexes import SimplicialComplex
 from simdist.random_complexes import (
     LmParams,
@@ -372,7 +372,8 @@ def test_concentration_same_on_any_worker_count(monkeypatch, trials):
             os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)),
             raising=False,
         )
-        documents.append(concentration_report(params, 0.5, trials).to_dict())
+        report = concentration_report(params, 0.5, trials)
+        documents.append(serialize.document(report))
     assert documents[0] == documents[1]
     assert workers == [1, min(trials, 4)]
     assert documents[0]["counts"] == [
