@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -46,7 +45,12 @@ __all__ = [
     "upper_laplacian",
 ]
 
+# k-simplices up to which `spectrum` lists every eigenvalue, and up to which a
+# gap-only solve is dense: at 561 the dense and the Lanczos gap take equal
+# time (bench/spectrum_wall.py, BENCH_gap_lanczos.json)
 DENSE_EIGENSOLVE_LIMIT = 3000
+GAP_DENSE_LIMIT = 561
+LANCZOS_RESIDUAL = 1e-9  # times k+3: the Ritz residual a Lanczos gap accepts
 DEFAULT_TOLERANCE = 1e-8
 
 # 31-bit primes: entries stay below p, so int64 products in the vectorized
@@ -223,24 +227,13 @@ class UpperLaplacian:
     """d_k* d_k, exposed through the symmetric conjugate W^{1/2} . W^{-1/2}.
 
     The symmetric matrix has the same spectrum as the operator itself.
-    `apply` and `dense` read the facet table; only `symmetric`, which the
-    iterative eigensolve multiplies by, is a sparse matrix, built on first use.
+    `apply` and `dense` read the facet table; no sparse matrix is built.
     """
 
     complex: SimplicialComplex
     k: int
     weights_k: np.ndarray
     weights_k1: np.ndarray
-
-    @cached_property
-    def symmetric(self) -> sparse.csr_matrix:
-        from scipy import sparse
-
-        half = sparse.diags(1.0 / np.sqrt(self.weights_k))
-        mat = differential_matrix(self.complex, self.k)
-        sym = (half @ mat.T.astype(float) @ sparse.diags(self.weights_k1)
-               @ mat.astype(float) @ half)
-        return sparse.csr_matrix(sym)
 
     @property
     def dim(self) -> int:
@@ -252,11 +245,12 @@ class UpperLaplacian:
         return adjoint_differential(self.complex, d_phi).values
 
     def dense(self) -> np.ndarray:
-        """`symmetric` as a dense array, gathered from the facet table.
+        """The symmetric conjugate as a dense array, gathered from the facet table.
 
         Two k-faces share at most one coface, so an off-diagonal entry is one
-        product; the products are rounded as in `symmetric`'s chain, and the
-        diagonal sums run in coface order as its rows do, so the bytes match.
+        product; the products are rounded as in the sparse chain
+        W^{-1/2} d^T W d W^{-1/2}, and the diagonal sums run in coface order as
+        its rows do, so the bytes match.
         """
         faces, signs = _coboundary_entries(self.complex, self.k)
         c = 1.0 / np.sqrt(self.weights_k)
@@ -294,24 +288,31 @@ def spectrum(
     complex_: SimplicialComplex,
     k: int,
     tolerance: float = DEFAULT_TOLERANCE,
+    whole: bool = True,
 ) -> SpectralResult:
-    """All eigenvalues of the upper k-Laplacian (iterative gap above the dense limit).
+    """Eigenvalues of the upper k-Laplacian with a verified zero/nonzero split.
 
+    With `whole`, all eigenvalues from a dense solve up to
+    DENSE_EIGENSOLVE_LIMIT k-simplices; without it only the gap is asked for,
+    and the dense solve stops at GAP_DENSE_LIMIT. Above the limit the result
+    holds the least nonzero eigenvalue alone, from a block Lanczos solve.
     The tolerance-based zero count is cross-checked against the exact kernel
     dimension from integer rank; a mismatch raises SpectralMismatchError
     instead of reporting a spectral gap that may be a numerical artifact.
-    Solved once per complex, degree and tolerance; the shared result is
-    frozen and its eigenvalues are read-only.
+    Solved once per complex, degree, tolerance and solver; the shared result
+    is frozen and its eigenvalues are read-only.
     """
-    return complex_._cached(("spectrum", k, tolerance),
-                            lambda: _solve_spectrum(complex_, k, tolerance))
+    limit = DENSE_EIGENSOLVE_LIMIT if whole else GAP_DENSE_LIMIT
+    dense = upper_laplacian(complex_, k).dim <= limit
+    return complex_._cached(("spectrum", k, tolerance, dense),
+                            lambda: _solve_spectrum(complex_, k, tolerance, dense))
 
 
-def _solve_spectrum(complex_: SimplicialComplex, k: int, tolerance: float) -> SpectralResult:
+def _solve_spectrum(complex_: SimplicialComplex, k: int, tolerance: float,
+                    dense: bool) -> SpectralResult:
     lap = upper_laplacian(complex_, k)
-    n_k = lap.dim
-    kernel_dim = n_k - _coboundary_rank(complex_, k)
-    if n_k <= DENSE_EIGENSOLVE_LIMIT:
+    kernel_dim = lap.dim - _coboundary_rank(complex_, k)
+    if dense:
         try:
             eigenvalues = np.linalg.eigvalsh(lap.dense())
         except np.linalg.LinAlgError as exc:
@@ -326,46 +327,13 @@ def _solve_spectrum(complex_: SimplicialComplex, k: int, tolerance: float) -> Sp
         lam = float(nonzero[0]) if nonzero.size else None
         return SpectralResult(_read_only(eigenvalues), zero_multiplicity, lam, tolerance, True)
 
-    # Iterative path: only the least nonzero eigenvalue. The known kernel is
-    # the image of S = W^{1/2} d_{k-1} (the sqrt(w) column at k=0); the shift
-    # lifts it through the exact projector S G^+ S^T, G = S^T S. The h kernel
-    # directions outside that image (the cohomology) stay at zero, so the gap
-    # is the (h+1)-th smallest eigenvalue of the shifted operator.
-    from scipy import sparse
-    from scipy.sparse import linalg as sparse_linalg
-
-    scale = np.sqrt(lap.weights_k)
-    if k == 0:
-        image, rank_down = sparse.csr_matrix(scale[:, None]), 1
-    else:
-        image = sparse.diags(scale) @ differential_matrix(complex_, k - 1)
-        rank_down = _coboundary_rank(complex_, k - 1)
-    # G^+ with scipy's pinvh cutoff; pinvh itself calls the QR-iteration
-    # eigh, 8x slower than numpy's divide-and-conquer at n_{k-1} = 780
-    vals, vecs = np.linalg.eigh((image.T @ image).toarray())
-    kept = vals > vals[-1] * len(vals) * np.finfo(float).eps
-    if np.count_nonzero(kept) != rank_down:
-        raise SpectralMismatchError(
-            f"the pseudo-inverse keeps {np.count_nonzero(kept)} directions but "
-            f"the degree-{k - 1} coboundary has rank {rank_down}"
-        )
-    gram_pinv = (vecs[:, kept] / vals[kept]) @ vecs[:, kept].T
+    # Only the least nonzero eigenvalue: the h kernel directions outside the
+    # image of d_{k-1} (the cohomology) stay at zero in the shifted operator,
+    # so the gap is its (h+1)-th least eigenvalue.
+    rank_down = 1 if k == 0 else _coboundary_rank(complex_, k - 1)
     h = kernel_dim - rank_down
-    shift = float(k + 3)  # above the spectral ceiling k+2
-
-    def matvec(v):
-        return lap.symmetric @ v + shift * (image @ (gram_pinv @ (image.T @ v)))
-
-    op = sparse_linalg.LinearOperator((n_k, n_k), matvec=matvec)
-    # a fixed start vector: ARPACK's default is random, and so would be λ's last digits
-    v0 = np.random.Generator(np.random.Philox(key=0)).standard_normal(n_k)
-    try:
-        vals = sparse_linalg.eigsh(
-            op, k=h + 1, which="SA", v0=v0, return_eigenvectors=False
-        )
-    except sparse_linalg.ArpackNoConvergence as exc:
-        raise SpectralError(f"iterative eigensolver did not converge: {exc}") from exc
-    vals = np.sort(vals)
+    vals = _least_eigenvalues(_shifted_operator(complex_, lap, rank_down), lap.dim,
+                              h + 1, LANCZOS_RESIDUAL * (k + 3))
     lam = float(vals[-1])
     if np.any(vals[:-1] > tolerance) or lam <= tolerance:
         raise SpectralMismatchError(
@@ -373,6 +341,130 @@ def _solve_spectrum(complex_: SimplicialComplex, k: int, tolerance: float) -> Sp
             f"eigenvalues below {tolerance} after deflation; expected {h}"
         )
     return SpectralResult(_read_only(np.array([lam])), kernel_dim, lam, tolerance, False)
+
+
+def _shifted_operator(complex_: SimplicialComplex, lap: UpperLaplacian, rank_down: int):
+    """The symmetric upper Laplacian plus (k+3) S G^+ S^T, applied to a vector.
+
+    S = W^{1/2} d_{k-1} (the sqrt(w) column at k=0) spans the known kernel,
+    and the exact projector S G^+ S^T, G = S^T S, lifts it above the spectral
+    ceiling k+2; G^+ must keep exactly rank d_{k-1} directions. The Laplacian
+    is a gather, a row sum and a bincount over contiguous copies of the facet
+    table and its coefficients, made once here.
+    """
+    k, n_k = lap.k, lap.dim
+    faces, signs = _coboundary_entries(complex_, k)
+    faces = np.ascontiguousarray(faces)  # the reversed view would be copied every call
+    flat = faces.ravel()
+    coef = signs / np.sqrt(lap.weights_k)[faces]
+    spread = coef * lap.weights_k1[:, None]
+    ones = np.ones(k + 2)
+    scale = np.sqrt(lap.weights_k)
+    if k == 0:  # S is the sqrt(w) column: every vertex has the one empty face
+        inner, inner_signs = np.zeros((n_k, 1), dtype=np.int64), np.ones(1)
+        gram = np.array([[scale @ scale]])
+    else:
+        below = upper_laplacian(complex_, k - 1)
+        root = np.sqrt(below.weights_k)
+        gram = below.dense() * root[:, None] * root  # W^{1/2} L_{k-1} W^{1/2} = S^T S
+        inner, inner_signs = _coboundary_entries(complex_, k - 1)
+        inner = np.ascontiguousarray(inner)
+    # G^+ with scipy's pinvh cutoff
+    vals, vecs = np.linalg.eigh(gram)
+    kept = vals > vals[-1] * len(vals) * np.finfo(float).eps
+    if np.count_nonzero(kept) != rank_down:
+        raise SpectralMismatchError(
+            f"the pseudo-inverse keeps {np.count_nonzero(kept)} directions but "
+            f"the degree-{k - 1} coboundary has rank {rank_down}"
+        )
+    gram_pinv = (vecs[:, kept] / vals[kept]) @ vecs[:, kept].T
+    shift = float(k + 3)
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        up = (v[faces] * coef) @ ones  # a matmul row sum is twice as fast as .sum
+        down = gram_pinv @ _signed_scatter(scale * v, inner, inner_signs, len(gram_pinv))
+        return (np.bincount(flat, (spread * up[:, None]).ravel(), minlength=n_k)
+                + shift * scale * _signed_gather(down, inner, inner_signs))
+
+    return apply
+
+
+def _least_eigenvalues(apply, n: int, b: int, residual: float) -> np.ndarray:
+    """The b least eigenvalues of a symmetric operator on R^n, ascending.
+
+    Block Lanczos with full reorthogonalisation (Lanczos 1950; Parlett, The
+    Symmetric Eigenvalue Problem, ch. 13), one vector of the block at a time:
+    the basis starts from a fixed Philox block of b vectors, so the values
+    are deterministic, and a block of b resolves an eigenvalue of
+    multiplicity up to b. Each step applies the operator to the next basis
+    vector, orthogonalises the image against the whole basis twice and
+    appends it, or drops it when nothing is left of it, which deflates the
+    block; its coefficients fill the projected matrix T. The b least
+    eigenvalues of T are computed on a geometric schedule, a quarter more
+    steps each time; once they move by at most `residual`, the schedule
+    narrows to a sixteenth, and at each check the Ritz pairs' true residuals
+    |Ay - θy| are found by one application each. The solve ends when all
+    are at most `residual`. The basis grows by blocks of rows that are never
+    copied. When every image is dropped, the basis spans an invariant
+    subspace, which holds each eigenvalue of the random block
+    min(multiplicity, b) times, and the Ritz pairs are exact.
+    """
+    rng = np.random.Generator(np.random.Philox(key=0))
+    rows = min(n, max(b, 2**20 // n))  # 8 MB blocks of the basis, never copied
+    blocks: list[np.ndarray] = []
+    proj = np.zeros((0, 0))
+    size = 0
+
+    def stored(count: int) -> list[tuple[int, np.ndarray]]:
+        """The first `count` basis vectors, as (first index, block rows) pairs."""
+        return [(i * rows, block[:count - i * rows])
+                for i, block in enumerate(blocks[:(count + rows - 1) // rows])]
+
+    def append(w: np.ndarray, column: int | None) -> None:
+        nonlocal proj, size
+        start = np.linalg.norm(w)
+        for _ in range(2):
+            for first, part in stored(size):
+                coeffs = part @ w
+                w = w - coeffs @ part
+                if column is not None:
+                    proj[first:first + len(part), column] += coeffs
+        beta = np.linalg.norm(w)
+        if beta <= 1e-10 * start:  # the block Krylov space holds this image
+            return
+        if size == len(blocks) * rows:
+            blocks.append(np.empty((rows, n)))
+        if size == len(proj):  # doubled, up to the rows the basis holds
+            proj = np.pad(proj, (0, min(max(size, 64), len(blocks) * rows - size)))
+        if column is not None:
+            proj[size, column] = beta
+        blocks[-1][size % rows] = w / beta
+        size += 1
+
+    for w in rng.standard_normal((b, n)):
+        append(w, None)
+    steps, check, previous = 0, 4 * b, None
+    while True:
+        append(apply(blocks[steps // rows][steps % rows]), steps)
+        steps += 1
+        if steps < min(check, size):
+            continue
+        least = np.linalg.eigvalsh(proj[:steps, :steps])[:b]
+        settled = previous is not None and np.max(np.abs(least - previous)) <= residual
+        previous = least
+        check = steps + max(b, steps // (16 if settled else 4))
+        if not settled and steps < size:
+            continue
+        ritz, vectors = np.linalg.eigh(proj[:steps, :steps])
+        pairs = sum(vectors[first:first + len(part), :b].T @ part
+                    for first, part in stored(steps))
+        if all(np.linalg.norm(apply(y) - theta * y) <= residual
+               for theta, y in zip(ritz[:b], pairs)):
+            return ritz[:b]
+        if steps == size:
+            raise SpectralError(
+                f"block Lanczos residual above {residual} on an invariant subspace"
+            )
 
 
 # -- exact rank ---------------------------------------------------------------

@@ -49,7 +49,7 @@ from .geometry import (  # noqa: F401 - perfbench traces enclosed_projection_vol
     simplex_boundary_projection_volumes,
     stokes_check,
 )
-from .random_complexes import LmParams, _all_subsets, linial_meshulam
+from .random_complexes import LmParams, _all_subsets, _lex_facets, linial_meshulam
 
 __all__ = [
     "BoundaryFamily",
@@ -130,7 +130,7 @@ def compute_hypotheses(
     lam = None
     zero_mult = None
     if pure and k <= complex_.dim - 1:
-        spectral = spectrum(complex_, k, tolerance)
+        spectral = spectrum(complex_, k, tolerance, whole=False)
         lam = spectral.lambda_min_nonzero
         zero_mult = spectral.zero_multiplicity
     cohomology_zero = cohomology_dim(complex_, k) == 0
@@ -149,13 +149,16 @@ class BoundaryFamily:
     inequalities need: s (faces per member, k+2), the per-simplex membership
     counts, and l (min over counted k-simplices of weight/count, exact as a
     Fraction). Statistics are computed from the rows, never user-supplied.
+    `face_indices`, when given, is trusted to be the rows' facet table.
     """
 
-    def __init__(self, complex_: SimplicialComplex, vertex_sets):
+    def __init__(self, complex_: SimplicialComplex, vertex_sets, face_indices=None):
         rows = np.array(vertex_sets, dtype=np.int64)
         if rows.ndim != 2 or len(rows) == 0:
             raise ValueError("a boundary family needs a nonempty (M, k+2) row array")
-        self.face_indices = complex_.facet_indices(rows)
+        if face_indices is None:
+            face_indices = complex_.facet_indices(rows)
+        self.face_indices = face_indices
         self.complex = complex_
         self.vertex_sets = rows
         self.s = rows.shape[1]
@@ -186,13 +189,15 @@ class BoundaryFamily:
 def vertex_set_family(complex_: SimplicialComplex, k: int) -> BoundaryFamily:
     """All C(N, k+2) simplex boundaries on the vertex set, with the standard
     alternating orientation. Requires the complete k-skeleton, so every face
-    exists; each k-simplex then belongs to exactly N-k-1 members."""
+    exists, at its lex rank among the (k+1)-subsets, which needs no search;
+    each k-simplex then belongs to exactly N-k-1 members."""
     n = complex_.num_vertices
     if complex_.simplex_count(k) != math.comb(n, k + 1):
         raise DegreeError(f"complex lacks a complete {k}-skeleton")
     if n < k + 2:
         raise DegreeError("not enough vertices for any boundary")
-    return BoundaryFamily(complex_, _all_subsets(n, k + 2))
+    rows = _all_subsets(n, k + 2)
+    return BoundaryFamily(complex_, rows, _lex_facets(rows, n))
 
 
 def boundary_pairing(phi: Cochain, boundary: OrientedBoundary) -> float:

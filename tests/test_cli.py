@@ -323,3 +323,46 @@ def test_sampling_commands_import_no_scipy_linear_algebra(tmp_path):
         result = json.loads(doc.read_text())["result"]
         assert result["exact_fill"] and result["evaluated_members"] == result["family_size"]
     assert json.loads(verify.read_text())["result"]["ok"]
+
+
+def test_gap_solves_above_the_dense_limits_import_no_scipy(tmp_path):
+    # verify all on LM(40, 0.3, 1), 780 edges, takes the hypotheses' gap from
+    # the block Lanczos, and spectrum on LM(80, 0.2, 1), 3,160 edges, takes
+    # it for the whole command; a fresh process that runs both must load no
+    # scipy module, which alone would add about 29 MB
+    import os
+    import subprocess
+    import sys
+    import textwrap
+
+    import simdist
+
+    small, large = tmp_path / "lm40.cplx", tmp_path / "lm80.cplx"
+    verify, spec = tmp_path / "verify.json", tmp_path / "spectrum.json"
+    script = textwrap.dedent(f"""
+        import sys
+        from simdist import cochains
+        from simdist.cli import main
+
+        def run(*argv):
+            main(list(argv), standalone_mode=False)
+
+        run("lmgen", "--n", "40", "--p", "0.3", "--k", "1", "--seed", "1",
+            "--out", {str(small)!r})
+        run("lmgen", "--n", "80", "--p", "0.2", "--k", "1", "--seed", "1",
+            "--out", {str(large)!r})
+        assert cochains.GAP_DENSE_LIMIT < 780 < cochains.DENSE_EIGENSOLVE_LIMIT < 3160
+        run("verify", "all", "--complex", {str(small)!r}, "--k", "1",
+            "--embedding", "gaussian:4:1", "--out", {str(verify)!r})
+        run("spectrum", "--complex", {str(large)!r}, "--k", "1", "--out", {str(spec)!r})
+        loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+        assert not loaded, loaded
+    """)
+    src = str(Path(simdist.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(verify.read_text())["result"]["ok"]
+    result = json.loads(spec.read_text())["result"]
+    assert not result["dense"]
+    assert result["eigenvalues"] == [result["lambda_min_nonzero"]]

@@ -163,13 +163,19 @@ def _two_components(n, p, k, seed):
     return build_complex(np.concatenate([first, second + n]).tolist())
 
 
+def _two_annuli(steps):
+    """Two disjoint annuli, the second shifted by 2 * steps vertices: H^1 = 2."""
+    tops = _annulus(steps).simplex_rows(2)
+    return build_complex(np.concatenate([tops, tops + 2 * steps]).tolist())
+
+
 def test_iterative_gap_matches_dense(monkeypatch):
     from simdist.distortion import compute_hypotheses
 
-    # the annulus and LM(10, 0.3) have nonzero cohomology: the iterative path
-    # must keep those kernel directions at zero and still find the gap above
-    # them. At k=2, and on two components, the dependent columns of d_{k-1}
-    # are spread through the matrix rather than last.
+    # the annuli and LM(10, 0.3) have nonzero cohomology (h = 1, 2 and 2):
+    # the iterative path must keep those kernel directions at zero and still
+    # find the gap above them. At k=2, and on two components, the dependent
+    # columns of d_{k-1} are spread through the matrix rather than last.
     # a complex keeps its spectrum, so every call gets a fresh complex
     def samples():
         return [
@@ -181,13 +187,16 @@ def test_iterative_gap_matches_dense(monkeypatch):
             (linial_meshulam(LmParams(16, 0.5, 2, seed=1)), 2),
             (_two_components(8, 0.6, 1, seed=1), 1),
             (_two_components(7, 0.7, 2, seed=1), 2),
+            (_two_annuli(9), 1),
         ]
 
     dense = [spectrum(x, k) for x, k in samples()]
     flags = [compute_hypotheses(x, k).flags_string() for x, k in samples()]
     assert all(reference.dense for reference in dense)
     assert flags[2] == "1101"
+    assert [cohomology_dim(x, k) for x, k in samples()[-7:]] == [1, 2, 0, 0, 0, 0, 2]
     monkeypatch.setattr(cochains_module, "DENSE_EIGENSOLVE_LIMIT", 1)
+    monkeypatch.setattr(cochains_module, "GAP_DENSE_LIMIT", 1)
     for (x, k), (y, _), reference, flag in zip(samples(), samples(), dense, flags):
         result = spectrum(x, k)
         assert not result.dense
@@ -195,15 +204,44 @@ def test_iterative_gap_matches_dense(monkeypatch):
         assert result.lambda_min_nonzero == pytest.approx(
             reference.lambda_min_nonzero, rel=1e-10
         )
+        # the hypotheses take the gap-only route, iterative at this limit
         assert compute_hypotheses(y, k).flags_string() == flag
+        assert not spectrum(y, k, whole=False).dense
+
+
+def _wheel(n):
+    """A hub joined to a cycle of the other n - 1 vertices, as a 1-complex."""
+    rim = n - 1
+    return build_complex([tuple(sorted((i, (i + 1) % rim))) for i in range(rim)]
+                         + [(i, rim) for i in range(rim)])
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_gap_dense_limit_from_both_sides(extra):
+    # n_0 = GAP_DENSE_LIMIT vertices takes the dense solve, one more the
+    # block Lanczos; the whole spectrum stays dense at both sizes
+    x = _wheel(cochains_module.GAP_DENSE_LIMIT + extra)
+    assert x.simplex_count(0) == cochains_module.GAP_DENSE_LIMIT + extra
+    gap = spectrum(x, 0, whole=False)
+    whole = spectrum(x, 0)
+    assert gap.dense == (extra == 0)
+    assert (gap is whole) == (extra == 0)  # below the limit one solve serves both
+    assert whole.dense
+    assert gap.zero_multiplicity == whole.zero_multiplicity == 1
+    assert gap.lambda_min_nonzero == pytest.approx(whole.lambda_min_nonzero, rel=1e-10)
 
 
 def test_iterative_tolerance_mismatch_is_hard_error(monkeypatch):
     from simdist.cochains import SpectralMismatchError
 
     monkeypatch.setattr(cochains_module, "DENSE_EIGENSOLVE_LIMIT", 1)
-    with pytest.raises(SpectralMismatchError):
-        spectrum(complete_complex(8, 1), 0, tolerance=3.0)
+    monkeypatch.setattr(cochains_module, "GAP_DENSE_LIMIT", 1)
+    for whole in (True, False):
+        with pytest.raises(SpectralMismatchError):
+            spectrum(complete_complex(8, 1), 0, tolerance=3.0, whole=whole)
+    # h = 2 below a tolerance above the gap: three eigenvalues read as zero
+    with pytest.raises(SpectralMismatchError, match="3 of 3 eigenvalues below"):
+        spectrum(_two_annuli(9), 1, tolerance=3.0, whole=False)
 
 
 def test_projector_rank_disagreeing_with_exact_rank_is_hard_error(monkeypatch):
@@ -223,23 +261,26 @@ def test_hypotheses_rank_each_coboundary_once(monkeypatch, limit):
 
     calls = []
     ranked = cochains_module._entries_rank
-    monkeypatch.setattr(cochains_module, "DENSE_EIGENSOLVE_LIMIT", limit)
+    monkeypatch.setattr(cochains_module, "GAP_DENSE_LIMIT", limit)
     monkeypatch.setattr(cochains_module, "_entries_rank",
                         lambda *entries: calls.append(entries[-1]) or ranked(*entries))
     x = linial_meshulam(LmParams(9, 0.9, 1, seed=6))
     report = compute_hypotheses(x, 1)
     assert report.spectral_zero_multiplicity is not None
+    assert spectrum(x, 1, whole=False).dense == (limit == 3000)
     assert len(calls) == 2  # d_1 and d_0
 
 
 def test_iterative_spectrum_is_deterministic(monkeypatch):
     monkeypatch.setattr(cochains_module, "DENSE_EIGENSOLVE_LIMIT", 100)
+    monkeypatch.setattr(cochains_module, "GAP_DENSE_LIMIT", 100)
     # a complex keeps its spectrum, so each call gets a fresh complex
-    first = spectrum(linial_meshulam(LmParams(20, 0.5, 1, seed=1)), 1)
-    second = spectrum(linial_meshulam(LmParams(20, 0.5, 1, seed=1)), 1)
-    assert not first.dense
-    assert first is not second
-    assert first.lambda_min_nonzero == second.lambda_min_nonzero
+    for whole in (True, False):
+        first = spectrum(linial_meshulam(LmParams(20, 0.5, 1, seed=1)), 1, whole=whole)
+        second = spectrum(linial_meshulam(LmParams(20, 0.5, 1, seed=1)), 1, whole=whole)
+        assert not first.dense
+        assert first is not second
+        assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
 
 
 def test_spectrum_is_kept_per_tolerance():

@@ -71,6 +71,19 @@ def test_vertex_set_family_k0():
     assert np.all(family.counts == 5)
 
 
+def test_vertex_set_family_lex_faces_match_the_face_search():
+    # the family reads its faces off lex ranks; a user-given family with the
+    # same rows searches for them, and both must give the same int64 table
+    for n, p, k, seed in [(9, 0.6, 0, 1), (14, 0.5, 1, 2), (50, 0.25, 1, 1),
+                          (9, 0.5, 2, 3), (12, 0.4, 2, 1)]:
+        x = linial_meshulam(LmParams(n, p, k, seed=seed))
+        family = vertex_set_family(x, k)
+        searched = BoundaryFamily(x, family.vertex_sets)
+        assert family.face_indices.dtype == searched.face_indices.dtype == np.int64
+        assert np.array_equal(family.face_indices, searched.face_indices)
+        assert np.array_equal(family.counts, searched.counts)
+
+
 def test_family_requires_complete_skeleton():
     x = build_complex([(0, 1), (1, 2)])  # edge (0,2) missing
     with pytest.raises(DegreeError):
