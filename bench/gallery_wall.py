@@ -1,13 +1,11 @@
 """Wall timings of the gallery face search at the sizes where it is the limit.
 
 Usage (from the repository root):
-    python3 bench/gallery_wall.py [--src DIR] [--repeat N] [CASE ...]
+    python3 bench/gallery_wall.py [--src DIR ...] [--repeat N] [CASE ...]
 
-Each run of a case starts a fresh interpreter that imports simdist from DIR
-(default ./src), so two checkouts can be timed with one copy of this script.
-It prints one JSON line per run: the case, its timings in seconds (best of
-a few calls for the sub-millisecond ones) and the peak RSS in MB from
-`ru_maxrss`. The cases:
+`bench/wall.py` runs each case in a fresh interpreter. Each run prints one
+JSON line: the case, its timings in seconds (best of a few calls for the
+sub-millisecond ones) and the peak RSS. The cases:
 
     eval80       compute_hypotheses, then evaluate_distortion with the
                  vertex-set family and gaussian:4:1, on LM(80, 0.2, 1)
@@ -29,30 +27,12 @@ a few calls for the sub-millisecond ones) and the peak RSS in MB from
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import resource
-import subprocess
-import sys
 import time
+
+import wall
 
 CASES = ("eval80", "tables80", "tables120", "graph200", "annulus760", "strip5000",
          "book5000")
-
-
-def _peak_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-
-
-def _annulus(steps: int):
-    from simdist.complexes import build_complex
-
-    tops = []
-    for i in range(steps):
-        j = (i + 1) % steps
-        tops += [(i, steps + i, j), (steps + i, steps + j, j)]
-    return build_complex(tops)
 
 
 def _strip(steps: int):
@@ -92,15 +72,15 @@ def run_case(case: str) -> dict:
         out["tables_s"] = time.perf_counter() - start
     elif case == "graph200":
         x = linial_meshulam(LmParams(200, 0.15, 1, seed=1))
-        before = _peak_mb()
+        before = wall.peak_mb()
         start = time.perf_counter()
         graph = GalleryGraph(x, 1)
         out["graph_s"] = time.perf_counter() - start
-        getattr(graph, "_adjacency", None)
+        graph._adjacency  # built on first use
         out["with_adjacency_s"] = time.perf_counter() - start
-        out["rss_growth_mb"] = _peak_mb() - before
+        out["rss_growth_mb"] = wall.peak_mb() - before
     elif case == "annulus760":
-        graph = GalleryGraph(_annulus(760), 1)
+        graph = GalleryGraph(wall.annulus(760), 1)
         start = time.perf_counter()
         graph.face_tables(np.arange(graph.complex.simplex_count(1)))
         out["tables_s"] = time.perf_counter() - start
@@ -129,31 +109,8 @@ def run_case(case: str) -> dict:
         start = time.perf_counter()
         GalleryGraph(x, 1).face_tables(faces)
         out["four_tables_s"] = time.perf_counter() - start
-    else:
-        raise SystemExit(f"unknown case {case!r}; choose from {', '.join(CASES)}")
-    out["peak_rss_mb"] = _peak_mb()
     return out
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default="src")
-    parser.add_argument("--repeat", type=int, default=1)
-    parser.add_argument("--inline", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("cases", nargs="*", default=list(CASES))
-    args = parser.parse_args()
-    if args.inline:  # the child: one case in this interpreter
-        sys.path.insert(0, os.path.abspath(args.src))
-        print(json.dumps(run_case(args.cases[0])))
-        return
-    for _ in range(args.repeat):
-        for case in args.cases:
-            child = subprocess.run(
-                [sys.executable, __file__, "--inline", "--src", args.src, case],
-                check=True, capture_output=True, text=True,
-            )
-            print(child.stdout.strip(), flush=True)
-
-
 if __name__ == "__main__":
-    main()
+    wall.main(__doc__, CASES, run_case)

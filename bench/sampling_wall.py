@@ -2,18 +2,17 @@
 Linial–Meshulam build at the sizes where sampling is the limit.
 
 Usage (from the repository root):
-    python3 bench/sampling_wall.py [--src DIR] [--repeat N] [CASE ...]
+    python3 bench/sampling_wall.py [--src DIR ...] [--repeat N] [CASE ...]
 
-Each run of a case starts a fresh interpreter that imports simdist from DIR
-(default ./src), so two checkouts can be timed with one copy of this script.
-A `conc*` case runs `simdist concentration --eps 0.5 --seed 1 --out FILE`
-and an `lmgen*` case `simdist lmgen --seed 1 --out FILE`, both through the
-CLI's entry point. `build200` builds `linial_meshulam(LmParams(200, 0.15, 1,
-1))` once untimed and five times timed, reports the median, and writes the
-last complex with `save_complex_text`. Each run prints one JSON line: the
-case, the time in seconds after `import simdist.cli`, the peak RSS in MB
-from `ru_maxrss`, and the sha256 of the written file, so that two checkouts
-can be checked for the same output. The cases:
+`bench/wall.py` runs each case in a fresh interpreter. A `conc*` case runs
+`simdist concentration --eps 0.5 --seed 1 --out FILE` and an `lmgen*` case
+`simdist lmgen --seed 1 --out FILE`, both through the CLI's entry point.
+`build200` builds `linial_meshulam(LmParams(200, 0.15, 1, 1))` once untimed
+and five times timed, reports the median, and writes the last complex with
+`save_complex_text`. Each run prints one JSON line: the case, the time in
+seconds after `import simdist.cli`, the sha256 of the written file, so that
+two checkouts can be checked for the same output, and the peak RSS. The
+cases:
 
     conc200      N=200 p=0.5 k=1, 25 trials (the benchmark's `sample` job)
     conc600      N=600 p=0.05 k=1, 4 trials
@@ -26,16 +25,13 @@ can be checked for the same output. The cases:
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
 import os
-import resource
 import statistics
-import subprocess
-import sys
 import tempfile
 import time
+
+import wall
 
 # case: (command, n, p, k, trials of a concentration run)
 CASES = {
@@ -67,8 +63,6 @@ def warm_build_seconds(n: int, p: float, k: int, out: str) -> float:
 def run_case(case: str) -> dict:
     from simdist.cli import main
 
-    if case not in CASES:
-        raise SystemExit(f"unknown case {case!r}; choose from {', '.join(CASES)}")
     command, n, p, k, trials = CASES[case]
     with tempfile.TemporaryDirectory() as work:
         out = os.path.join(work, "out")
@@ -84,33 +78,8 @@ def run_case(case: str) -> dict:
             elapsed = time.perf_counter() - start
         with open(out, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
-    return {
-        "case": case,
-        f"{command}_s": elapsed,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-        "sha256": digest,
-    }
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default="src")
-    parser.add_argument("--repeat", type=int, default=1)
-    parser.add_argument("--inline", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("cases", nargs="*", default=list(CASES))
-    args = parser.parse_args()
-    if args.inline:  # the child: one case in this interpreter
-        sys.path.insert(0, os.path.abspath(args.src))
-        print(json.dumps(run_case(args.cases[0])))
-        return
-    for _ in range(args.repeat):
-        for case in args.cases:
-            child = subprocess.run(
-                [sys.executable, __file__, "--inline", "--src", args.src, case],
-                check=True, capture_output=True, text=True,
-            )
-            print(child.stdout.strip(), flush=True)
+    return {"case": case, f"{command}_s": elapsed, "sha256": digest}
 
 
 if __name__ == "__main__":
-    main()
+    wall.main(__doc__, CASES, run_case)

@@ -9,6 +9,7 @@ label tuples map to sorted id tuples and orientation signs are unaffected.
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain, combinations
 
 import numpy as np
@@ -253,19 +254,25 @@ class SimplicialComplex:
         """The weights of every level, made on first use.
 
         Weight recursion: w_n = 1 on top simplices; w_k(t) = sum of w_{k+1}
-        over cofaces of t, which equals (n-k)! * #{top simplices containing
-        t}. The top level has no cofaces, so its sums are 0 and it adds the
-        1. Object arrays keep the sums exact Python integers.
+        over cofaces of t, which equals (n-k)! * c_k(t), where c_k(t) =
+        #{top simplices containing t}. The recursion runs on c in int64:
+        each top simplex through t holds n-k of t's cofaces, so c_k(t) is
+        the sum of c_{k+1} over them divided by n-k, exactly, pure or not.
+        The top level has no cofaces, so its sums are 0 and it adds the 1.
+        The weights are then exact Python integers.
         """
         def build():
             weights = []
-            up = np.zeros(0, dtype=object)
+            up = np.zeros(0, dtype=np.int64)
             for k in range(self.dim, -1, -1):
                 indptr, indices = self._cofaces[k]
-                sums = np.zeros(len(indices) + 1, dtype=object)
+                sums = np.zeros(len(indices) + 1, dtype=np.int64)
                 np.cumsum(up[indices], out=sums[1:])
-                up = sums[indptr[1:]] - sums[indptr[:-1]] + int(k == self.dim)
-                weights.insert(0, up.tolist())
+                up = (sums[indptr[1:]] - sums[indptr[:-1]]) // max(self.dim - k, 1)
+                up += int(k == self.dim)
+                factor = math.factorial(self.dim - k)
+                weights.insert(0, [factor * c for c in up.tolist()] if factor > 1
+                               else up.tolist())
             return weights
 
         return self._cached(("weights",), build)

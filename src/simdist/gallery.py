@@ -546,21 +546,11 @@ def fill_number(complex_: SimplicialComplex, faces) -> FillResult:
 class GalleryLinkReport:
     """Checks tying link connectivity to gallery connectivity on one complex.
 
-    Local criterion: two k-simplices meeting in a (k-1)-simplex with a
-    connected link are joined by a gallery. Inductive criterion: k-gallery
-    connectivity plus connected (k-1)-links imply (k+1)-gallery connectivity.
-
-    `local_holds` cannot fail on any complex: an edge of tau's link is a
-    (k+1)-simplex holding both k-faces it joins, so a path in a connected
-    link is a gallery. The check is kept as a consistency test of the
-    labelling, not as evidence for the criterion.
+    Inductive criterion: k-gallery connectivity plus connected (k-1)-links
+    imply (k+1)-gallery connectivity.
     """
 
     k: int
-    local_pairs_checked: int = 0
-    local_vacuous_pairs: int = 0
-    local_holds: bool = True
-    local_counterexample: tuple | None = None
     inductive_hypotheses_met: bool = False
     inductive_conclusion: bool = False
     details: dict = field(default_factory=dict)
@@ -568,10 +558,6 @@ class GalleryLinkReport:
     @property
     def inductive_holds(self) -> bool:
         return (not self.inductive_hypotheses_met) or self.inductive_conclusion
-
-    @property
-    def passed(self) -> bool:
-        return self.local_holds and self.inductive_holds
 
 
 def _link_components(
@@ -601,34 +587,17 @@ def _link_components(
 
 
 def gallery_link_report(complex_: SimplicialComplex, k: int) -> GalleryLinkReport:
-    """Verify the link-connectivity criteria for gallery connectivity at level k.
-
-    The k-simplices through a (k-1)-simplex tau are its cofaces, tau joined by
-    each link vertex in link-vertex order; a pair of them is joined iff the
-    incidence gives both one label.
-    """
+    """Verify the inductive link-connectivity criterion at level k."""
     if k < 1 or k > complex_.dim - 1:
         raise DegreeError(f"degree {k} outside 1..{complex_.dim - 1}")
     report = GalleryLinkReport(k=k)
-    count, face_labels, _ = _incidence_components(complex_, k)
+    count = _incidence_components(complex_, k)[0]
 
     indptr, indices = complex_.coface_csr(k - 1)
     sizes = np.diff(indptr)
     owner = np.repeat(np.arange(len(sizes)), sizes)
     connected = _link_components(complex_, k, owner, indices) <= 1
-    pairs = sizes * (sizes - 1) // 2
-    report.local_pairs_checked = int(pairs[connected].sum())
-    report.local_vacuous_pairs = int(pairs[~connected].sum())
     all_links_connected = bool((connected & (sizes > 0)).all())
-    found = face_labels[indices]
-    split = connected[owner] & (found != found[indptr[owner]])
-    if split.any():
-        e = int(split.argmax())
-        simplices = complex_.simplices(k)
-        report.local_holds = False
-        report.local_counterexample = (
-            simplices[indices[indptr[owner[e]]]], simplices[indices[e]]
-        )
 
     lower_connected = is_gallery_connected(complex_, k - 1)
     report.inductive_hypotheses_met = lower_connected and all_links_connected
