@@ -263,15 +263,8 @@ def test_distortion_eval_names_first_unfillable_member(runner, tmp_path):
     assert f"error: {expected}" in result.output
 
 
-def test_commands_import_no_scipy(tmp_path):
-    # lmgen, concentration, distortion eval at k=1 and k=2 (with a searched
-    # row), gallery connected, gallery dist, the dense spectrum and verify
-    # all compute with numpy alone, and so do verify all on LM(40, 0.3, 1),
-    # 780 edges, which takes the hypotheses' gap from the block Lanczos, and
-    # spectrum on LM(80, 0.2, 1), 3,160 edges, which takes it for the whole
-    # command; a fresh process that runs them all must load no scipy module,
-    # which alone would add about 29 MB; differential_matrix loads
-    # scipy.sparse on first use in the same process
+def _run_fresh(script):
+    # runs a dedented script in a fresh interpreter on this tree's simdist
     import os
     import subprocess
     import sys
@@ -279,15 +272,25 @@ def test_commands_import_no_scipy(tmp_path):
 
     import simdist
 
+    src = str(Path(simdist.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_sampling_commands_import_no_scipy_linear_algebra(tmp_path):
+    # lmgen, concentration, distortion eval at k=1 and k=2 (with a searched
+    # row), gallery connected, gallery dist, the dense spectrum and verify all
+    # compute with numpy alone, so a fresh process that runs them must load
+    # no scipy module; differential_matrix loads scipy.sparse on first use in
+    # the same process
     paths = {k: tmp_path / f"k{k}.cplx" for k in (1, 2)}
     docs = {k: tmp_path / f"eval{k}.json" for k in (1, 2)}
-    small, large = tmp_path / "lm40.cplx", tmp_path / "lm80.cplx"
-    verify = {name: tmp_path / f"verify_{name}.json" for name in ("k1", "lm40")}
-    spec = tmp_path / "spectrum.json"
-    script = textwrap.dedent(f"""
+    verify = tmp_path / "verify.json"
+    _run_fresh(f"""
         import sys
         import simdist
-        from simdist import cochains
         from simdist.cli import main
         from simdist.gallery import GalleryGraph
 
@@ -312,31 +315,47 @@ def test_commands_import_no_scipy(tmp_path):
         run("gallery", "connected", "--complex", {str(paths[1])!r}, "--k", "1")
         run("spectrum", "--complex", {str(paths[1])!r}, "--k", "1")
         run("verify", "all", "--complex", {str(paths[1])!r}, "--k", "1",
-            "--embedding", "gaussian:4:1", "--out", {str(verify["k1"])!r})
+            "--embedding", "gaussian:4:1", "--out", {str(verify)!r})
         run("gallery", "dist", "--complex", {str(paths[1])!r}, "0,1", "2,3")
-        run("lmgen", "--n", "40", "--p", "0.3", "--k", "1", "--seed", "1",
-            "--out", {str(small)!r})
-        run("lmgen", "--n", "80", "--p", "0.2", "--k", "1", "--seed", "1",
-            "--out", {str(large)!r})
-        assert cochains.GAP_DENSE_LIMIT < 780 < cochains.DENSE_EIGENSOLVE_LIMIT < 3160
-        run("verify", "all", "--complex", {str(small)!r}, "--k", "1",
-            "--embedding", "gaussian:4:1", "--out", {str(verify["lm40"])!r})
-        run("spectrum", "--complex", {str(large)!r}, "--k", "1", "--out", {str(spec)!r})
         loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
         assert not loaded, loaded
         simdist.cochains.differential_matrix(
             simdist.complexes.load_complex({str(paths[1])!r}), 1)
         assert "scipy.sparse" in sys.modules
     """)
-    src = str(Path(simdist.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
-    assert done.returncode == 0, done.stderr
     for doc in docs.values():
         result = json.loads(doc.read_text())["result"]
         assert result["exact_fill"] and result["evaluated_members"] == result["family_size"]
-    for doc in verify.values():
-        assert json.loads(doc.read_text())["result"]["ok"]
+    assert json.loads(verify.read_text())["result"]["ok"]
+
+
+def test_gap_solves_above_the_dense_limits_import_no_scipy(tmp_path):
+    # verify all on LM(40, 0.3, 1), 780 edges, takes the hypotheses' gap from
+    # the block Lanczos, and spectrum on LM(80, 0.2, 1), 3,160 edges, takes
+    # it for the whole command; a fresh process that runs both must load no
+    # scipy module, which alone would add about 29 MB
+    small, large = tmp_path / "lm40.cplx", tmp_path / "lm80.cplx"
+    verify, spec = tmp_path / "verify.json", tmp_path / "spectrum.json"
+    _run_fresh(f"""
+        import sys
+        from simdist import cochains
+        from simdist.cli import main
+
+        def run(*argv):
+            main(list(argv), standalone_mode=False)
+
+        run("lmgen", "--n", "40", "--p", "0.3", "--k", "1", "--seed", "1",
+            "--out", {str(small)!r})
+        run("lmgen", "--n", "80", "--p", "0.2", "--k", "1", "--seed", "1",
+            "--out", {str(large)!r})
+        assert cochains.GAP_DENSE_LIMIT < 780 < cochains.DENSE_EIGENSOLVE_LIMIT < 3160
+        run("verify", "all", "--complex", {str(small)!r}, "--k", "1",
+            "--embedding", "gaussian:4:1", "--out", {str(verify)!r})
+        run("spectrum", "--complex", {str(large)!r}, "--k", "1", "--out", {str(spec)!r})
+        loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+        assert not loaded, loaded
+    """)
+    assert json.loads(verify.read_text())["result"]["ok"]
     result = json.loads(spec.read_text())["result"]
     assert not result["dense"]
     assert result["eigenvalues"] == [result["lambda_min_nonzero"]]
