@@ -141,11 +141,6 @@ def _signed_gather(values: np.ndarray, faces: np.ndarray, signs) -> np.ndarray:
     return out
 
 
-def _signed_scatter(values: np.ndarray, faces: np.ndarray, signs, n: int) -> np.ndarray:
-    """Its transpose times values, added in row order as CSR's transpose does."""
-    return np.bincount(faces.ravel(), (values[:, None] * signs).ravel(), minlength=n)
-
-
 def _dd_zero(complex_: SimplicialComplex) -> bool:
     """Whether d_{k+1} d_k = 0 in every degree: each (row, k-face) entry sums
     its outer times inner signs over the facet-table composite, exactly."""
@@ -218,7 +213,9 @@ def adjoint_differential(complex_: SimplicialComplex, psi: Cochain) -> Cochain:
     faces, signs = _coboundary_entries(complex_, psi.k - 1)
     w_hi = _weights_array(complex_, psi.k)
     w_lo = _weights_array(complex_, psi.k - 1)
-    down = _signed_scatter(w_hi * psi.values, faces, signs, len(w_lo))
+    # the transpose of d_{k-1}, added in row order as CSR's transpose does
+    down = np.bincount(faces.ravel(), ((w_hi * psi.values)[:, None] * signs).ravel(),
+                       minlength=len(w_lo))
     return Cochain(complex_, psi.k - 1, down / w_lo)
 
 
@@ -348,27 +345,28 @@ def _shifted_operator(complex_: SimplicialComplex, lap: UpperLaplacian, rank_dow
 
     S = W^{1/2} d_{k-1} (the sqrt(w) column at k=0) spans the known kernel,
     and the exact projector S G^+ S^T, G = S^T S, lifts it above the spectral
-    ceiling k+2; G^+ must keep exactly rank d_{k-1} directions. The Laplacian
-    is a gather, a row sum and a bincount over contiguous copies of the facet
-    table and its coefficients, made once here.
+    ceiling k+2; G^+ must keep exactly rank d_{k-1} directions. With tables and
+    coefficients made once here, the Laplacian is a gather, a column sum and a
+    bincount over the transposed facet table, S^T a bincount and S (times the
+    shift) a gather and column sum over the one a degree down.
     """
     k, n_k = lap.k, lap.dim
     faces, signs = _coboundary_entries(complex_, k)
-    faces = np.ascontiguousarray(faces)  # the reversed view would be copied every call
-    flat = faces.ravel()
-    coef = signs / np.sqrt(lap.weights_k)[faces]
-    spread = coef * lap.weights_k1[:, None]
-    ones = np.ones(k + 2)
+    faces = np.ascontiguousarray(faces.T)  # each product runs along the simplices
+    coef = signs[:, None] / np.sqrt(lap.weights_k)[faces]
+    spread = coef * lap.weights_k1
     scale = np.sqrt(lap.weights_k)
     if k == 0:  # S is the sqrt(w) column: every vertex has the one empty face
-        inner, inner_signs = np.zeros((n_k, 1), dtype=np.int64), np.ones(1)
+        inner, inner_signs = np.zeros((1, n_k), dtype=np.int64), np.ones(1)
         gram = np.array([[scale @ scale]])
     else:
         below = upper_laplacian(complex_, k - 1)
         root = np.sqrt(below.weights_k)
         gram = below.dense() * root[:, None] * root  # W^{1/2} L_{k-1} W^{1/2} = S^T S
         inner, inner_signs = _coboundary_entries(complex_, k - 1)
-        inner = np.ascontiguousarray(inner)
+        inner = np.ascontiguousarray(inner.T)
+    lower = inner_signs[:, None] * scale  # S's entries, one row per face column
+    lift = (k + 3) * lower
     # G^+ with scipy's pinvh cutoff
     vals, vecs = np.linalg.eigh(gram)
     kept = vals > vals[-1] * len(vals) * np.finfo(float).eps
@@ -378,13 +376,13 @@ def _shifted_operator(complex_: SimplicialComplex, lap: UpperLaplacian, rank_dow
             f"the degree-{k - 1} coboundary has rank {rank_down}"
         )
     gram_pinv = (vecs[:, kept] / vals[kept]) @ vecs[:, kept].T
-    shift = float(k + 3)
 
     def apply(v: np.ndarray) -> np.ndarray:
-        up = (v[faces] * coef) @ ones  # a matmul row sum is twice as fast as .sum
-        down = gram_pinv @ _signed_scatter(scale * v, inner, inner_signs, len(gram_pinv))
-        return (np.bincount(flat, (spread * up[:, None]).ravel(), minlength=n_k)
-                + shift * scale * _signed_gather(down, inner, inner_signs))
+        up = (v[faces] * coef).sum(axis=0)
+        down = gram_pinv @ np.bincount(inner.ravel(), (lower * v).ravel(),
+                                       minlength=len(gram_pinv))
+        return (np.bincount(faces.ravel(), (spread * up).ravel(), minlength=n_k)
+                + (down[inner] * lift).sum(axis=0))
 
     return apply
 
@@ -402,12 +400,15 @@ def _least_eigenvalues(apply, n: int, b: int, residual: float) -> np.ndarray:
     block; its coefficients fill the projected matrix T. The b least
     eigenvalues of T are computed on a geometric schedule, a quarter more
     steps each time; once they move by at most `residual`, the schedule
-    narrows to a sixteenth, and at each check the Ritz pairs' true residuals
-    |Ay - θy| are found by one application each. The solve ends when all
-    are at most `residual`. The basis grows by blocks of rows that are never
-    copied. When every image is dropped, the basis spans an invariant
-    subspace, which holds each eigenvalue of the random block
-    min(multiplicity, b) times, and the Ritz pairs are exact.
+    narrows to a sixteenth. There the Ritz residuals |Ay - θy| are read off
+    the Lanczos relation as |T's rows past the applied vectors times s|;
+    while one is above `residual`, the next check goes where their last rate
+    of decay brings it below, at most a quarter more steps on. Then one
+    application each finds them, and the solve ends when all are at most
+    `residual`. The basis grows by blocks of rows that are never copied.
+    When every image is dropped, the basis spans an invariant subspace,
+    which holds each eigenvalue of the random block min(multiplicity, b)
+    times, and the Ritz pairs are exact.
     """
     rng = np.random.Generator(np.random.Philox(key=0))
     rows = min(n, max(b, 2**20 // n))  # 8 MB blocks of the basis, never copied
@@ -415,35 +416,30 @@ def _least_eigenvalues(apply, n: int, b: int, residual: float) -> np.ndarray:
     proj = np.zeros((0, 0))
     size = 0
 
-    def stored(count: int) -> list[tuple[int, np.ndarray]]:
-        """The first `count` basis vectors, as (first index, block rows) pairs."""
-        return [(i * rows, block[:count - i * rows])
-                for i, block in enumerate(blocks[:(count + rows - 1) // rows])]
-
-    def append(w: np.ndarray, column: int | None) -> None:
+    def append(w: np.ndarray, column: int) -> None:
         nonlocal proj, size
-        start = np.linalg.norm(w)
+        start = np.sqrt(w @ w)
+        parts = [(i, block[:size - i]) for i, block in zip(range(0, size, rows), blocks)]
         for _ in range(2):
-            for first, part in stored(size):
+            for i, part in parts:
                 coeffs = part @ w
-                w = w - coeffs @ part
-                if column is not None:
-                    proj[first:first + len(part), column] += coeffs
-        beta = np.linalg.norm(w)
+                w -= coeffs @ part
+                proj[i:i + len(part), column] += coeffs
+        beta = np.sqrt(w @ w)
         if beta <= 1e-10 * start:  # the block Krylov space holds this image
             return
         if size == len(blocks) * rows:
             blocks.append(np.empty((rows, n)))
         if size == len(proj):  # doubled, up to the rows the basis holds
             proj = np.pad(proj, (0, min(max(size, 64), len(blocks) * rows - size)))
-        if column is not None:
-            proj[size, column] = beta
-        blocks[-1][size % rows] = w / beta
+        proj[size, column] = beta
+        np.divide(w, beta, out=blocks[-1][size % rows])
         size += 1
 
     for w in rng.standard_normal((b, n)):
-        append(w, None)
-    steps, check, previous = 0, 4 * b, None
+        append(w, 0)
+    proj[:, 0] = 0  # the start block's own coefficients are not in T
+    steps, check, previous, last = 0, 4 * b, None, None
     while True:
         append(apply(blocks[steps // rows][steps % rows]), steps)
         steps += 1
@@ -456,8 +452,16 @@ def _least_eigenvalues(apply, n: int, b: int, residual: float) -> np.ndarray:
         if not settled and steps < size:
             continue
         ritz, vectors = np.linalg.eigh(proj[:steps, :steps])
-        pairs = sum(vectors[first:first + len(part), :b].T @ part
-                    for first, part in stored(steps))
+        worst = np.linalg.norm(proj[steps:size, :steps] @ vectors[:, :b], axis=0).max()
+        if worst > residual:
+            if last is not None and worst < last[1]:  # at most a quarter more steps
+                rate = math.log(last[1] / worst) / (steps - last[0])
+                ahead = math.ceil(math.log(worst / residual) / rate)
+                check = steps + max(b, min(ahead, steps // 4))
+            last = steps, worst
+            continue
+        pairs = sum(vectors[i:i + rows, :b].T @ block[:steps - i]
+                    for i, block in zip(range(0, steps, rows), blocks))
         if all(np.linalg.norm(apply(y) - theta * y) <= residual
                for theta, y in zip(ritz[:b], pairs)):
             return ritz[:b]

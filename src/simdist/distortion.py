@@ -758,11 +758,9 @@ def verify_instance(
         tops = complex_.simplex_rows(k + 1)
         if len(tops) > 20:
             tops = tops[rng.choice(len(tops), size=20, replace=False)]
-        stokes_worst = 0.0
-        for sigma in map(tuple, tops.tolist()):
-            boundary = simplex_boundary_oriented(sigma)
-            residual = stokes_check(boundary, [(sigma, 1)], embedding)
-            stokes_worst = max(stokes_worst, residual)
+        stokes_worst = max(
+            stokes_check(simplex_boundary_oriented(sigma), [(sigma, 1)], embedding)
+            for sigma in map(tuple, tops.tolist()))
         report["checks"]["stokes_residual"] = stokes_worst
         scale = float(np.abs(embedding.points).max()) ** (k + 1) + 1.0
         ok &= stokes_worst <= 1e-9 * scale

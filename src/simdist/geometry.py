@@ -340,21 +340,17 @@ def simplex_boundary_projection_volumes(vertex_sets, points, faces=None) -> np.n
         face_indices = where.reshape(n_members, width)
     else:
         face_rows, face_indices = faces
-    signs = np.array([1 if i % 2 == 0 else -1 for i in range(width)], dtype=float)
+    face_indices = np.ascontiguousarray(np.transpose(face_indices))  # sums run along members
+    signs = np.array([[1.0 if i % 2 == 0 else -1.0] for i in range(width)])
     face_pts = pts[face_rows]  # (F, k+1, m)
     means = face_pts.mean(axis=1)  # (F, m)
-    if k > 0:
-        edges = face_pts[:, 1:, :] - face_pts[:, :1, :]  # (F, k, m)
-    fact = float(math.factorial(k))
+    edges = face_pts[:, 1:, :] - face_pts[:, :1, :]  # (F, k, m); the det of none is 1
 
     total = np.zeros(n_members)
     for idx in multi_indices(m, k + 1):
-        if k == 0:
-            dets = np.ones(len(face_pts))
-        else:
-            dets = np.linalg.det(edges[:, :, list(idx[1:])])
-        terms = signs * means[face_indices, idx[0]] * dets[face_indices]
-        contrib = terms.sum(axis=1) / fact
+        dets = np.linalg.det(edges[:, :, list(idx[1:])])
+        terms = signs * (means[:, idx[0]] * dets)[face_indices]
+        contrib = terms.sum(axis=0) / math.factorial(k)
         total += contrib * contrib
     return np.sqrt(total)
 
@@ -404,7 +400,9 @@ def stokes_check(
     ``filling`` is a signed chain of (k+1)-simplices (ordered tuples with
     coefficients). With ``check_boundary`` the chain boundary must equal the
     stated boundary exactly; disabling it turns the residual into a negative
-    control for mismatched fillings.
+    control for mismatched fillings. Each face and cell takes all multi-indices
+    at once, with the float operations of `moment_integral` and
+    `signed_projected_volume` summed in face and cell order, bit for bit.
     """
     chain = _canonical_chain(filling)
     if check_boundary:
@@ -412,16 +410,16 @@ def stokes_check(
             raise BoundaryMismatchError(
                 "filling boundary does not match the stated boundary"
             )
-    m = embedding.ambient_dim
-    face_points = [(embedding.coords(s), sign) for s, sign in boundary.faces]
-    cell_points = [(embedding.coords(s), coeff) for s, coeff in chain]
-    worst = 0.0
-    for idx in multi_indices(m, boundary.k + 1):
-        # left to right: builtin sum() compensates float sums since Python 3.12
-        from_boundary = from_filling = 0.0
-        for pts, sign in face_points:
-            from_boundary += sign * moment_integral(pts, idx)
-        for pts, coeff in cell_points:
-            from_filling += coeff * signed_projected_volume(pts, idx)
-        worst = max(worst, abs(from_boundary - from_filling))
-    return worst
+    k = boundary.k
+    idx = np.array(list(multi_indices(embedding.ambient_dim, k + 1)), int).reshape(-1, k + 1)
+    from_boundary = np.zeros(len(idx))
+    for s, sign in boundary.faces:  # the det of no edges is 1
+        pts = embedding.coords(s)
+        dets = np.linalg.det((pts[1:] - pts[0])[:, idx[:, 1:]].transpose(1, 0, 2))
+        from_boundary += sign * (pts[:, idx[:, 0]].mean(axis=0) * dets / math.factorial(k))
+    from_filling = np.zeros(len(idx))
+    for s, coeff in chain:
+        pts = embedding.coords(s)
+        dets = np.linalg.det((pts[1:] - pts[0])[:, idx].transpose(1, 0, 2))
+        from_filling += coeff * (dets / math.factorial(k + 1))
+    return float(np.max(np.abs(from_boundary - from_filling), initial=0.0))

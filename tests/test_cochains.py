@@ -209,6 +209,17 @@ def test_iterative_gap_matches_dense(monkeypatch):
         assert not spectrum(y, k, whole=False).dense
 
 
+def test_lanczos_residual_estimates_accept_nothing_alone():
+    # below rounding no true residual passes: the solve runs the Krylov space
+    # out and raises, whatever the residuals read off T say on the way
+    x = linial_meshulam(LmParams(9, 0.9, 1, seed=6))
+    lap = upper_laplacian(x, 1)
+    rank_down = cochains_module._coboundary_rank(x, 0)
+    apply = cochains_module._shifted_operator(x, lap, rank_down)
+    with pytest.raises(cochains_module.SpectralError, match="invariant subspace"):
+        cochains_module._least_eigenvalues(apply, lap.dim, 2, 1e-30)
+
+
 def _wheel(n):
     """A hub joined to a cycle of the other n - 1 vertices, as a 1-complex."""
     rim = n - 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simdist.complexes import InvalidSimplexError, complete_complex
+from simdist.complexes import InvalidSimplexError, complete_complex, sort_with_sign
 from simdist.geometry import (
     BoundaryMismatchError,
     Embedding,
@@ -341,6 +341,51 @@ def test_stokes_mismatch_raises_and_flags():
         boundary, wrong, Embedding(pts), check_boundary=False
     )
     assert residual > 1e-6
+    assert residual == _per_index_stokes(boundary, wrong, Embedding(pts))
+
+
+def test_stokes_residual_keeps_nan():
+    # a NaN coordinate gives a NaN residual, which no tolerance accepts, not 0.0
+    pts = np.zeros((3, 3))
+    pts[1, 0] = np.nan
+    with np.errstate(invalid="ignore"):
+        residual = stokes_check(simplex_boundary_oriented((0, 1, 2)), [((0, 1, 2), 1)],
+                                Embedding(pts))
+    assert math.isnan(residual)
+
+
+def _per_index_stokes(boundary, filling, embedding):
+    """The Stokes residual one multi-index at a time from the scalar
+    references, summed over faces and cells left to right."""
+    worst = 0.0
+    for idx in multi_indices(embedding.ambient_dim, boundary.k + 1):
+        from_boundary = from_filling = 0.0
+        for s, sign in boundary.faces:
+            from_boundary += sign * moment_integral(embedding.coords(s), idx)
+        for s, coeff in filling:
+            canonical, perm = sort_with_sign(s)
+            from_filling += coeff * perm * signed_projected_volume(
+                embedding.coords(canonical), idx)
+        worst = max(worst, abs(from_boundary - from_filling))
+    return worst
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_stokes_is_bitwise_per_index_reference(k):
+    """All multi-indices at once give the bits of the scalar loop: single
+    simplices in shuffled vertex order and bipyramids, at several scales."""
+    rng = _rng(29 + k)
+    for m in range(1, 7):
+        for scale in (1e-3, 1.0, 1e3):
+            pts = scale * rng.standard_normal((k + 4, m))
+            sigma = tuple(int(v) for v in rng.permutation(k + 4)[:k + 2])
+            fillings = [(simplex_boundary_oriented(sigma), [(sigma, 1)])]
+            if k > 0:
+                fillings.append(make_bipyramid(k))
+            for boundary, chain in fillings:
+                expected = _per_index_stokes(boundary, chain, Embedding(pts))
+                found = stokes_check(boundary, chain, Embedding(pts))
+                assert np.float64(found).tobytes() == np.float64(expected).tobytes()
 
 
 # -- embedding I/O -----------------------------------------------------------------
