@@ -25,8 +25,11 @@ already computed: `routed_s`, the solve that `compute_hypotheses` makes, with
 `routed` naming its path, timed after one untimed routed solve on another
 fresh complex, since a first solve can read many times its repeats;
 `dense_s`, numpy's `eigvalsh` of the dense Laplacian; and `iterative_s`, the
-iterative solve forced by setting the dense limit that routes it to 0. Their
-peak RSS is that of all three.
+iterative solve forced by setting the dense limit that routes it to 0. Each
+solve runs in a fresh interpreter of its own, so each has its own peak RSS:
+`routed_peak_rss_mb`, `dense_peak_rss_mb` and `iterative_peak_rss_mb`. Each
+includes the interpreter, numpy and the complex with its ranks, and the
+routed one also its untimed solve.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ SPECTRA = {
     "spec40k2": (40, 0.3, 2), "spec60k2": (60, 0.2, 2), "annulus760": (760, None, 1),
 }
 CASES = (*GAPS, *SPECTRA)
+SOLVERS = {case: ["routed", "dense", "iterative"] for case in GAPS}
 
 
 def _complex(n: int, p: float | None, k: int):
@@ -64,7 +68,7 @@ def _ranked(n: int, p: float | None, k: int):
     return x
 
 
-def run_case(case: str) -> dict:
+def run_case(case: str, solver: str | None = None) -> dict:
     import numpy as np
 
     from simdist import cochains
@@ -73,24 +77,26 @@ def run_case(case: str) -> dict:
     out: dict = {"case": case}
     if case in GAPS:
         shape = GAPS[case]
-        cochains.spectrum(_ranked(*shape), shape[2], whole=False)
         x = _ranked(*shape)
-        start = time.perf_counter()
-        result = cochains.spectrum(x, shape[2], whole=False)
-        out["routed_s"] = time.perf_counter() - start
-        out["routed"] = "dense" if result.dense else "iterative"
-        lap = cochains.upper_laplacian(_ranked(*shape), shape[2])
-        start = time.perf_counter()
-        values = np.linalg.eigvalsh(lap.dense())
-        out["dense_s"] = time.perf_counter() - start
-        out["dense_lambda"] = float(values[values > cochains.DEFAULT_TOLERANCE][0])
-        x = _ranked(*shape)
-        cochains.GAP_DENSE_LIMIT = 0
-        start = time.perf_counter()
-        result = cochains.spectrum(x, shape[2], whole=False)
-        out["iterative_s"] = time.perf_counter() - start
-        out["iterative_lambda"] = result.lambda_min_nonzero
-        out["n_k"] = lap.dim
+        out["n_k"] = x.simplex_count(shape[2])
+        if solver == "routed":
+            cochains.spectrum(_ranked(*shape), shape[2], whole=False)
+            start = time.perf_counter()
+            result = cochains.spectrum(x, shape[2], whole=False)
+            out["routed_s"] = time.perf_counter() - start
+            out["routed"] = "dense" if result.dense else "iterative"
+        elif solver == "dense":
+            lap = cochains.upper_laplacian(x, shape[2])
+            start = time.perf_counter()
+            values = np.linalg.eigvalsh(lap.dense())
+            out["dense_s"] = time.perf_counter() - start
+            out["dense_lambda"] = float(values[values > cochains.DEFAULT_TOLERANCE][0])
+        else:
+            cochains.GAP_DENSE_LIMIT = 0
+            start = time.perf_counter()
+            result = cochains.spectrum(x, shape[2], whole=False)
+            out["iterative_s"] = time.perf_counter() - start
+            out["iterative_lambda"] = result.lambda_min_nonzero
     else:
         shape = SPECTRA[case]
         x = _ranked(*shape)
@@ -104,4 +110,4 @@ def run_case(case: str) -> dict:
 
 
 if __name__ == "__main__":
-    wall.main(__doc__, CASES, run_case)
+    wall.main(__doc__, CASES, run_case, SOLVERS)

@@ -10,8 +10,11 @@ Each run of a case starts a fresh interpreter that imports simdist from DIR
 Given `--src` more than once, each repeat runs every case in every tree, the
 trees in turn and in reverse order on every other repeat. Each run prints one
 JSON line: the tree as `src`, then what `run_case` returns, then the peak RSS
-in MB from `ru_maxrss` as `peak_rss_mb`. With more than one tree or repeat, a
-last line per case and tree gives the median and quartiles of every number.
+in MB from `ru_maxrss` as `peak_rss_mb`. A case listed in `parts` runs each
+of its parts in a fresh interpreter of its own, as `run_case(case, part)`,
+and its line joins what the parts return, each part's peak RSS as
+`<part>_peak_rss_mb`. With more than one tree or repeat, a last line per
+case and tree gives the median and quartiles of every number.
 """
 
 from __future__ import annotations
@@ -52,30 +55,39 @@ def _summary(runs: list[dict]) -> dict:
     return out
 
 
-def main(doc: str, cases, run_case) -> None:
+def main(doc: str, cases, run_case, parts=None) -> None:
     parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("--src", action="append")
     parser.add_argument("--repeat", type=int, default=1)
     parser.add_argument("--inline", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--part", help=argparse.SUPPRESS)
     parser.add_argument("cases", nargs="*", default=list(cases))
     args = parser.parse_args()
     unknown = [case for case in args.cases if case not in cases]
     if unknown:
         parser.error(f"unknown case {unknown[0]!r}; choose from {', '.join(cases)}")
     trees = args.src or ["src"]
-    if args.inline:  # the child: one case in this interpreter
+    if args.inline:  # the child: one case, or one part of it, in this interpreter
         sys.path.insert(0, os.path.abspath(trees[0]))
-        print(json.dumps({**run_case(args.cases[0]), "peak_rss_mb": peak_mb()}))
+        if args.part is None:
+            line = {**run_case(args.cases[0]), "peak_rss_mb": peak_mb()}
+        else:
+            line = {**run_case(args.cases[0], args.part),
+                    f"{args.part}_peak_rss_mb": peak_mb()}
+        print(json.dumps(line))
         return
     runs: dict = {}
     for repeat in range(args.repeat):
         for case in args.cases:
             for tree in trees if repeat % 2 == 0 else trees[::-1]:
-                child = subprocess.run(
-                    [sys.executable, sys.argv[0], "--inline", "--src", tree, case],
-                    check=True, stdout=subprocess.PIPE, text=True,
-                )
-                line = json.loads(child.stdout)
+                line: dict = {}
+                for part in (parts or {}).get(case, [None]):
+                    child = subprocess.run(
+                        [sys.executable, sys.argv[0], "--inline", "--src", tree, case,
+                         *(["--part", part] if part else [])],
+                        check=True, stdout=subprocess.PIPE, text=True,
+                    )
+                    line.update(json.loads(child.stdout))
                 print(json.dumps({"src": tree, **line}), flush=True)
                 runs.setdefault((case, tree), []).append(line)
     if args.repeat > 1 or len(trees) > 1:

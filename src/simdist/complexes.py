@@ -508,8 +508,14 @@ def load_complex(path) -> SimplicialComplex:
         if "maximal" not in data:
             raise ComplexError("JSON complex file needs a 'maximal' key")
         rows = data["maximal"]
+        if type(rows) is not list:
+            raise ComplexError("JSON 'maximal' must be a list of simplices")
         if not rows:
             raise ComplexError(f"no simplices found in {path}")
+        for simplex in rows:  # labels are JSON integers, as the text reader asks
+            if type(simplex) is not list or any(type(v) is not int for v in simplex):
+                raise ComplexError(
+                    f"simplex {json.dumps(simplex)}: expected a list of integer vertex ids")
         return build_complex(rows)
     blocks = _parse_text(text)
     if not blocks:

@@ -405,15 +405,6 @@ def distortion_lower_bound(
 
 
 @dataclass
-class MemberEvaluation:
-    """Filling number and embedded volume for one family member."""
-
-    faces: tuple
-    volume: float
-    fill_exact: int
-
-
-@dataclass
 class DistortionReport:
     """Distortion of one embedding against one boundary family.
 
@@ -435,9 +426,7 @@ class DistortionReport:
     infinite: bool
     exact_fill: bool
     hypotheses: HypothesisReport
-    bound: DistortionBound | None
-    members: list[MemberEvaluation] = field(
-        default_factory=list, repr=False, metadata={"key": None})
+    bound: DistortionBound
 
 
 def evaluate_distortion(
@@ -446,14 +435,15 @@ def evaluate_distortion(
     embedding: Embedding,
     *,
     tolerance: float = DEFAULT_TOLERANCE,
-    include_bound: bool = True,
-    keep_members: bool = False,
 ) -> DistortionReport:
     """Measure the two suprema of volume/filling ratios over the family.
 
     Boundaries of (k+1)-simplices present in the complex are always included
     (they are the members whose filling number is 1): those that are not
-    already family rows are appended as extra rows.
+    already family rows are appended as extra rows. The per-member values
+    are those of `GalleryGraph(complex_, k).fill_numbers(faces)` and
+    `simplex_boundary_projection_volumes(rows, points, faces=...)` over those
+    rows, the two calls made here.
     """
     k = family.k
     if embedding.num_vertices != complex_.num_vertices:
@@ -475,16 +465,6 @@ def evaluate_distortion(
     forward = float((volumes / fills).max(initial=0.0))
     backward = float((fills[positive] / volumes[positive]).max(initial=0.0))
     infinite = bool((volumes == 0.0).any())
-    evaluations = []
-    if keep_members:
-        for row, volume, fill in zip(rows.tolist(), volumes.tolist(), fills.tolist()):
-            faces = tuple(tuple(row[:j] + row[j + 1:]) for j in range(k + 2))
-            evaluations.append(MemberEvaluation(faces, volume, fill))
-
-    bound = None
-    if include_bound:
-        bound = distortion_lower_bound(complex_, family, tolerance=tolerance)
-
     if infinite:
         backward = distortion = None
     else:
@@ -503,8 +483,7 @@ def evaluate_distortion(
         infinite=infinite,
         exact_fill=True,
         hypotheses=hyp,
-        bound=bound,
-        members=evaluations if keep_members else [],
+        bound=distortion_lower_bound(complex_, family, tolerance=tolerance),
     )
 
 
@@ -669,8 +648,7 @@ def lm_distortion_experiment(
             # as data with empty measurements
             pass
         else:
-            bound_obj = report.bound
-            bound_value = bound_obj.bound if bound_obj else None
+            bound_value = report.bound.bound
             if hyp.pure:
                 l_value = family.l
             measured_lo = report.distortion_lo
@@ -680,7 +658,7 @@ def lm_distortion_experiment(
             )
             if applicable:
                 consistent = measured_lo >= bound_value - 1e-9 * (abs(bound_value) + 1)
-            d_max = bound_obj.d_max if bound_obj else 0
+            d_max = report.bound.d_max
             s = family.s
             exact_fill = report.exact_fill
             infinite = report.infinite
@@ -713,6 +691,9 @@ def lm_distortion_experiment(
     )
 
 
+RANDOM_COCHAINS = 5  # cochains drawn for each random check of `verify_instance`
+
+
 def verify_instance(
     complex_: SimplicialComplex,
     k: int,
@@ -720,14 +701,13 @@ def verify_instance(
     *,
     seed: int = 0,
     tolerance: float = DEFAULT_TOLERANCE,
-    num_random_cochains: int = 5,
 ) -> dict:
     """Run the full identity/inequality battery on one instance.
 
-    Covers exact d(d(.)) = 0, adjointness and the Rayleigh identity on random
-    cochains, per-simplex Stokes residuals for the embedding, and both
-    spectral filling inequalities. Returns a report dict with an `ok` flag
-    (identities within tolerances) and `hypotheses_ok`.
+    Covers exact d(d(.)) = 0, adjointness and the Rayleigh identity on
+    RANDOM_COCHAINS random cochains, per-simplex Stokes residuals for the
+    embedding, and both spectral filling inequalities. Returns a report dict
+    with an `ok` flag (identities within tolerances) and `hypotheses_ok`.
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
     report: dict = {"k": k, "checks": {"dd_zero": _dd_zero(complex_)}}
@@ -739,7 +719,7 @@ def verify_instance(
     adj_worst = ray_worst = 0.0
     if complex_.is_pure and k <= complex_.dim - 1:
         lap = upper_laplacian(complex_, k)
-        for _ in range(num_random_cochains):
+        for _ in range(RANDOM_COCHAINS):
             phi = random_cochain(complex_, k, rng)
             psi = random_cochain(complex_, k + 1, rng)
             d_phi = differential(complex_, phi)
@@ -769,7 +749,7 @@ def verify_instance(
             complex_.simplex_count(k) == math.comb(complex_.num_vertices, k + 1)):
         family = vertex_set_family(complex_, k)
         margins = []
-        for _ in range(num_random_cochains):
+        for _ in range(RANDOM_COCHAINS):
             phi = random_cochain(complex_, k, rng)
             check = cochain_energy_inequality(complex_, family, phi, tolerance=tolerance)
             margins.append((check.margin, check.lhs))

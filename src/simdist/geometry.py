@@ -190,22 +190,33 @@ class Embedding:
             header = next(reader, None)
             if not header or header[0] != "vertex":
                 raise GeometryError("embedding CSV must start with a 'vertex' header")
-            rows = {}
-            for row in reader:
-                if not row:
-                    continue
-                rows[int(row[0])] = [float(x) for x in row[1:]]
-        return cls._from_label_map(rows, complex_)
+            pairs = [(row[0], row[1:]) for row in reader if row]
+        return cls._from_label_pairs(pairs, complex_)
 
     @classmethod
     def from_json(cls, path, complex_=None) -> "Embedding":
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        rows = {int(lab): [float(x) for x in pt] for lab, pt in data["points"].items()}
-        return cls._from_label_map(rows, complex_)
+            # objects as tuples of (key, value) pairs, so a repeated label shows
+            data = json.load(fh, object_pairs_hook=tuple)
+        points = dict(data).get("points") if type(data) is tuple else None
+        if type(points) is not tuple:
+            raise GeometryError("embedding JSON needs a 'points' object")
+        return cls._from_label_pairs(points, complex_)
 
     @classmethod
-    def _from_label_map(cls, rows: dict, complex_) -> "Embedding":
+    def _from_label_pairs(cls, pairs, complex_) -> "Embedding":
+        """The embedding of (label, coordinate list) pairs, one per vertex."""
+        rows = {}
+        for label, point in pairs:
+            vertex = int(label)
+            if vertex in rows:
+                raise GeometryError(f"vertex {vertex} listed twice in embedding file")
+            if type(point) is not list:
+                raise GeometryError(f"vertex {vertex}: expected a list of coordinates")
+            try:
+                rows[vertex] = [float(x) for x in point]
+            except (TypeError, ValueError):
+                raise GeometryError(f"vertex {vertex}: expected numeric coordinates") from None
         if not rows:
             raise GeometryError("embedding file has no points")
         widths = {len(pt) for pt in rows.values()}

@@ -4,9 +4,8 @@ Floats are written with 17 significant digits (round-trip exact), dict keys
 are sorted, and the decimal separator is always '.', so identical inputs
 produce byte-identical output across runs and platforms.
 
-A dataclass is written as its fields, each under its own name: a field whose
-`metadata["key"]` is set is written under that key instead, and a key of
-None leaves the field out.
+A dataclass is written as all its fields, each under its own name, or under
+its `metadata["key"]` where that is set.
 """
 
 from __future__ import annotations
@@ -23,9 +22,8 @@ __all__ = ["document", "dumps", "format_float", "to_csv"]
 
 @cache
 def _keys(cls) -> tuple[tuple[str, str], ...]:
-    """(attribute, key) of each written field, read once per class."""
-    pairs = ((f.name, f.metadata.get("key", f.name)) for f in fields(cls))
-    return tuple((name, key) for name, key in pairs if key is not None)
+    """(attribute, key) of each field, read once per class."""
+    return tuple((f.name, f.metadata.get("key", f.name)) for f in fields(cls))
 
 
 def document(obj) -> dict:

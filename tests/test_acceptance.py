@@ -221,9 +221,7 @@ def test_criterion_03_degree_zero_reductions():
                 assert abs(volume - euclid) <= 1e-9 * (euclid + 1.0)
             # full distortion against the classic definition
             family = vertex_set_family(complex_, 0)
-            report = evaluate_distortion(
-                complex_, family, emb, include_bound=False, keep_members=True
-            )
+            report = evaluate_distortion(complex_, family, emb)
             assert report.exact_fill
             fwd = bwd = 0.0
             for u in range(n):
@@ -231,9 +229,9 @@ def test_criterion_03_degree_zero_reductions():
                     euclid = float(np.linalg.norm(emb.points[u] - emb.points[v]))
                     fwd = max(fwd, euclid / dist[u][v])
                     bwd = max(bwd, dist[u][v] / euclid)
-            for member in report.members:
-                (u,), (v,) = member.faces
-                assert member.fill_exact == dist[u][v]
+            fills = GalleryGraph(complex_, 0).fill_numbers(family.face_indices)
+            for (u, v), fill in zip(family.vertex_sets.tolist(), fills.tolist()):
+                assert fill == dist[u][v]
             assert report.sup_forward_lo == pytest.approx(fwd, rel=1e-9)
             assert report.sup_backward_lo == pytest.approx(bwd, rel=1e-9)
             assert report.distortion_lo == pytest.approx(fwd * bwd, rel=1e-9)

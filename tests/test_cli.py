@@ -214,6 +214,20 @@ def test_input_errors_exit_two(runner, tmp_path):
     assert result.exit_code == 2
     assert "outside the int64 range" in result.output
 
+    bad = tmp_path / "bad.json"
+    for text in ('{"maximal": 5}', '{"maximal": [[0, null]]}', '{"maximal": [[0, 1], 2]}'):
+        bad.write_text(text)
+        result = runner.invoke(
+            main, ["gallery", "connected", "--complex", str(bad), "--k", "0"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    for text in ('{"m": 1}', '{"points": {"0": 1.5}}'):
+        bad.write_text(text)
+        result = runner.invoke(main, ["distortion", "eval", "--complex", str(path),
+                                      "--k", "1", "--embedding", f"file:{bad}"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
 
 def test_verify_and_eval_build_no_simplex_tuples(runner, monkeypatch):
     """The verify and eval paths read row arrays only: neither makes the

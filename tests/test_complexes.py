@@ -313,6 +313,16 @@ def test_load_error_texts(tmp_path):
          "vertex label 9223372036854775808 outside the int64 range"),
         ('{"maximal": [[0, 1], [], [2, 2]]}', "empty simplex"),
         ('{"maximal": [[0, 1, 2], [5, 4, 5]]}', "repeated vertex in simplex [5, 4, 5]"),
+        # JSON labels are integers, as text labels are: no float, bool, string or null
+        ('{"maximal": [[0, 1], [1, 2.5]]}',
+         "simplex [1, 2.5]: expected a list of integer vertex ids"),
+        ('{"maximal": [[0, 1], [true, 2]]}',
+         "simplex [true, 2]: expected a list of integer vertex ids"),
+        ('{"maximal": [["0", 1]]}', 'simplex ["0", 1]: expected a list of integer vertex ids'),
+        ('{"maximal": [[0, null]]}', "simplex [0, null]: expected a list of integer vertex ids"),
+        ('{"maximal": [[0, [1]]]}', "simplex [0, [1]]: expected a list of integer vertex ids"),
+        ('{"maximal": [[0, 1], 2]}', "simplex 2: expected a list of integer vertex ids"),
+        ('{"maximal": 5}', "JSON 'maximal' must be a list of simplices"),
     ]
     path = tmp_path / "bad.cplx"
     for text, message in cases:

@@ -39,11 +39,12 @@ from simdist.distortion import (
     verify_instance,
     vertex_set_family,
 )
-from simdist.gallery import fill_number, gallery_distance
+from simdist.gallery import GalleryGraph, fill_number, gallery_distance
 from simdist.geometry import (
     Embedding,
     enclosed_projection_volume,
     simplex_boundary_oriented,
+    simplex_boundary_projection_volumes,
 )
 from simdist.random_complexes import LmParams, linial_meshulam
 
@@ -152,20 +153,24 @@ def test_distortion_volumes_match_scalar_kernel():
     for x, k, hyp, families in _reference_families():
         emb = Embedding.gaussian(x.num_vertices, 4, seed=k)
         for family in families:
-            report = evaluate_distortion(
-                x, family, emb, include_bound=False,
-                keep_members=True,
-            )
+            report = evaluate_distortion(x, family, emb)
             rows = family.vertex_sets.tolist()
             present = set(map(tuple, rows))
             rows += [list(s) for s in x.simplices(k + 1) if s not in present]
-            assert len(report.members) == report.evaluated_members == len(rows)
-            for member, row in zip(report.members, rows):
-                assert sorted(set().union(*member.faces)) == row
+            assert report.evaluated_members == len(rows)
+            faces = x.facet_indices(rows)
+            volumes = simplex_boundary_projection_volumes(
+                rows, emb.points, faces=(x.simplex_rows(k), faces)
+            )
+            for volume, row in zip(volumes.tolist(), rows):
                 reference = enclosed_projection_volume(
                     simplex_boundary_oriented(row), emb
                 )
-                assert abs(member.volume - reference) <= 1e-12 * reference
+                assert abs(volume - reference) <= 1e-12 * reference
+            fills = GalleryGraph(x, k).fill_numbers(faces)
+            assert report.sup_forward_lo == float((volumes / fills).max())
+            assert report.sup_backward_lo == float((fills / volumes).max())
+            assert report.distortion_lo == report.sup_forward_lo * report.sup_backward_lo
 
 
 # -- boundary pairing ---------------------------------------------------------------
@@ -389,7 +394,7 @@ def test_single_simplex_isometric_product_one():
     x = build_complex([(0, 1, 2)])
     family = vertex_set_family(x, 1)
     emb = Embedding(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-    report = evaluate_distortion(x, family, emb, include_bound=False)
+    report = evaluate_distortion(x, family, emb)
     assert report.exact_fill
     assert report.distortion_lo == pytest.approx(1.0, abs=1e-12)
     assert report.distortion_hi == pytest.approx(1.0, abs=1e-12)
@@ -398,9 +403,7 @@ def test_single_simplex_isometric_product_one():
 def test_degenerate_embedding_flags_infinity():
     x = build_complex([(0, 1, 2)])
     family = vertex_set_family(x, 1)
-    report = evaluate_distortion(
-        x, family, Embedding(np.zeros((3, 2))), include_bound=False
-    )
+    report = evaluate_distortion(x, family, Embedding(np.zeros((3, 2))))
     assert report.infinite
     assert report.distortion_lo is None
 
@@ -453,14 +456,13 @@ def test_k0_matches_independent_oracle():
         hits += 1
         emb = Embedding.gaussian(12, 4, seed=seed + 1000)
         family = vertex_set_family(x, 0)
-        report = evaluate_distortion(x, family, emb, include_bound=False,
-                                     keep_members=True)
+        report = evaluate_distortion(x, family, emb)
         fwd, bwd, product = independent_graph_distortion(emb.points, dist)
         assert report.exact_fill
         # combinatorial parts agree exactly
-        for member in report.members:
-            (u,), (v,) = member.faces
-            assert member.fill_exact == dist[u][v]
+        fills = GalleryGraph(x, 0).fill_numbers(family.face_indices)
+        for (u, v), fill in zip(family.vertex_sets.tolist(), fills.tolist()):
+            assert fill == dist[u][v]
         assert report.sup_forward_lo == pytest.approx(fwd, rel=1e-9)
         assert report.sup_backward_lo == pytest.approx(bwd, rel=1e-9)
         assert report.distortion_lo == pytest.approx(product, rel=1e-9)
@@ -471,7 +473,7 @@ def test_extra_simplex_boundaries_included():
     x = build_complex([(0, 1, 2), (1, 2, 3)])
     family = BoundaryFamily(x, [(1, 2, 3)])
     emb = Embedding.gaussian(4, 3, seed=2)
-    report = evaluate_distortion(x, family, emb, include_bound=False)
+    report = evaluate_distortion(x, family, emb)
     assert report.evaluated_members == 2
 
 

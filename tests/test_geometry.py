@@ -426,3 +426,24 @@ def test_embedding_missing_vertex(tmp_path):
     x = build_complex([(0, 1)])
     with pytest.raises(GeometryError):
         Embedding.from_csv(path, x)
+
+
+def test_embedding_files_reject_repeats_and_malformed_points(tmp_path):
+    cases = [
+        ("vertex,x1\n0,1.0\n1,2.0\n0,3.0\n", "vertex 0 listed twice in embedding file"),
+        ("vertex,x1\n0,1.0\n1,one\n", "vertex 1: expected numeric coordinates"),
+        ('{"points": {"0": [1.0], "1": [2.0], "1": [3.0]}}',
+         "vertex 1 listed twice in embedding file"),
+        ('{"m": 1}', "embedding JSON needs a 'points' object"),
+        ('{"m": 1, "points": [[1.0]]}', "embedding JSON needs a 'points' object"),
+        ('{"points": {"0": [1.0], "1": 2.0}}', "vertex 1: expected a list of coordinates"),
+        ('{"points": {"0": {"x": 1.0}}}', "vertex 0: expected a list of coordinates"),
+        ('{"points": {"0": [null]}}', "vertex 0: expected numeric coordinates"),
+    ]
+    for text, message in cases:
+        path = tmp_path / ("emb.json" if text.startswith("{") else "emb.csv")
+        path.write_text(text)
+        read = Embedding.from_json if path.suffix == ".json" else Embedding.from_csv
+        with pytest.raises(GeometryError) as info:
+            read(path)
+        assert str(info.value) == message

@@ -1,12 +1,21 @@
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import pytest
 
 from simdist import serialize
+from simdist.cochains import spectrum
 from simdist.complexes import complete_complex
-from simdist.distortion import EmbeddingSpec, evaluate_distortion, vertex_set_family
-from simdist.random_complexes import LmParams
+from simdist.distortion import (
+    EmbeddingSpec,
+    evaluate_distortion,
+    lm_distortion_experiment,
+    projection_volume_inequality,
+    vertex_set_family,
+)
+from simdist.gallery import fill_number
+from simdist.random_complexes import LmParams, concentration_report
 
 
 @dataclass
@@ -17,13 +26,12 @@ class Inner:
 @dataclass
 class Outer:
     lam: float = field(metadata={"key": "lambda"})
-    scratch: list = field(metadata={"key": None})
     inner: Inner
     rows: list
 
 
-def test_document_renames_and_skips_keys():
-    obj = Outer(0.5, [1, 2], Inner(2.0), [Inner(3.0)])
+def test_document_renames_keys():
+    obj = Outer(0.5, Inner(2.0), [Inner(3.0)])
     assert serialize.document(obj) == {
         "lambda": 0.5, "inner": Inner(2.0), "rows": [Inner(3.0)]
     }
@@ -50,17 +58,34 @@ def test_fields_read_once_per_class(monkeypatch):
     assert calls == [Fresh]
 
 
-def test_members_left_out_of_the_document():
+def test_every_report_field_reaches_its_document():
     x = complete_complex(6, 2)
     family = vertex_set_family(x, 1)
     embedding = EmbeddingSpec.parse("gaussian:3:1").realize(x)
-    kept = evaluate_distortion(x, family, embedding, keep_members=True)
-    plain = evaluate_distortion(x, family, embedding)
-    assert kept.members and not plain.members
-    text = serialize.dumps(kept)
-    assert '"members"' not in text
-    assert text == serialize.dumps(plain)
-    assert "members" not in serialize.document(kept)
+    report = evaluate_distortion(x, family, embedding)
+    experiment = lm_distortion_experiment(
+        LmParams(8, 0.6, 1, 1), EmbeddingSpec.parse("gaussian:3:1"), 1)
+    reports = [
+        report.hypotheses,
+        projection_volume_inequality(x, family, embedding),
+        report.bound,
+        report,
+        experiment.records[0],
+        experiment,
+        concentration_report(LmParams(8, 0.5, 1, 1), 0.5, 2),
+        spectrum(x, 1),
+        fill_number(x, [(0, 1), (1, 2), (0, 2)]),
+        LmParams(9, 0.5, 1, 4),
+    ]
+    assert [type(obj).__name__ for obj in reports] == [
+        "HypothesisReport", "InequalityCheck", "DistortionBound", "DistortionReport",
+        "TrialRecord", "ExperimentReport", "ConcentrationReport", "SpectralResult",
+        "FillResult", "LmParams",
+    ]
+    for obj in reports:
+        written = json.loads(serialize.dumps(obj))
+        name = type(obj).__name__
+        assert len(serialize.document(obj)) == len(written) == len(fields(obj)), name
 
 
 def test_unknown_objects_still_raise():
