@@ -1,5 +1,6 @@
 """Wall timings of the upper-Laplacian eigensolves: the gap the hypotheses
-ask for, and the `spectrum` command, at the sizes where they are the limit.
+ask for, and the `spectrum` command, at the sizes where they are the limit;
+and of the exact rank on closed surfaces.
 
 Usage (from the repository root):
     python3 bench/spectrum_wall.py [--src DIR ...] [--repeat N] [CASE ...]
@@ -19,6 +20,9 @@ peak RSS. LM means `linial_meshulam(LmParams(N, p, k, seed=1))`. The cases:
     spec40k2     `spectrum` of LM(40, 0.3, 2), as the command calls it
     spec60k2     `spectrum` of LM(60, 0.2, 2)
     annulus760   `spectrum` of a 760-step annulus at k=1 (3,040 edges)
+    torus40      `cohomology_dim(x, 1)` of a 40 x 40 grid torus (3,200
+                 triangles), as `rank_s`, with the result as `h1`
+    torus100     the same at 100 x 100 (20,000 triangles)
 
 A gap case times three solves, each on a fresh complex whose exact ranks are
 already computed: `routed_s`, the solve that `compute_hypotheses` makes, with
@@ -47,7 +51,8 @@ GAPS = {
 SPECTRA = {
     "spec40k2": (40, 0.3, 2), "spec60k2": (60, 0.2, 2), "annulus760": (760, None, 1),
 }
-CASES = (*GAPS, *SPECTRA)
+TORI = {"torus40": 40, "torus100": 100}
+CASES = (*GAPS, *SPECTRA, *TORI)
 SOLVERS = {case: ["routed", "dense", "iterative"] for case in GAPS}
 
 
@@ -75,7 +80,13 @@ def run_case(case: str, solver: str | None = None) -> dict:
 
     np.linalg.eigvalsh(np.eye(2))  # start the linear algebra library untimed
     out: dict = {"case": case}
-    if case in GAPS:
+    if case in TORI:
+        x = wall.torus(TORI[case])
+        start = time.perf_counter()
+        out["h1"] = cochains.cohomology_dim(x, 1)
+        out["rank_s"] = time.perf_counter() - start
+        out["n_k"] = x.simplex_count(1)
+    elif case in GAPS:
         shape = GAPS[case]
         x = _ranked(*shape)
         out["n_k"] = x.simplex_count(shape[2])

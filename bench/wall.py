@@ -43,6 +43,22 @@ def annulus(steps: int):
     return build_complex(tops)
 
 
+def torus(side: int):
+    """A side × side grid torus, each square cut along its diagonal:
+    2·side² triangles, and 3·side² edges at k=1."""
+    from simdist.complexes import build_complex
+
+    def at(i, j):
+        return (i % side) * side + j % side
+
+    tops = []
+    for i in range(side):
+        for j in range(side):
+            tops += [(at(i, j), at(i + 1, j), at(i + 1, j + 1)),
+                     (at(i, j), at(i, j + 1), at(i + 1, j + 1))]
+    return build_complex([tuple(sorted(t)) for t in tops])
+
+
 def _summary(runs: list[dict]) -> dict:
     """Median and quartiles of every number the runs of one case share."""
     out = {}

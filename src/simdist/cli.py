@@ -1,9 +1,11 @@
 """Command-line interface: generation, spectra, galleries, and distortion.
 
-Every subcommand echoes its full configuration (seed included) into the
-output, and identical configurations produce byte-identical files. Exit
-codes: 0 success, 1 failed verification, hypothesis failure or spectral
-failure, 2 input errors.
+Every document a subcommand writes holds its full configuration under
+`config`: every parameter of the command but `--out` and `--format`, read
+from the command's own context, so no option is left out and no option of an
+enclosing group gets in. Identical configurations produce byte-identical
+files. Exit codes: 0 success, 1 failed verification, hypothesis failure or
+spectral failure, 2 input errors.
 """
 
 from __future__ import annotations
@@ -35,14 +37,19 @@ from .geometry import GeometryError
 from .random_complexes import LmParams, concentration_report, linial_meshulam
 
 _INPUT_ERRORS = (ComplexError, GeometryError, ValueError, OSError)
+_RENAMED = {"complex_path": "complex", "embedding_spec": "embedding"}
 
 
-def _emit(payload: dict, out: str | None, as_csv: bool = False, csv_data=None):
-    if as_csv:
-        header, rows = csv_data
-        text = serialize.to_csv(header, rows)
-    else:
-        text = serialize.dumps(payload)
+def _emit(result, out: str | None):
+    """Write `result` beside the running command's parameters, all but `out`
+    and `fmt`, so every document echoes its full configuration."""
+    params = click.get_current_context().params
+    config = {_RENAMED.get(name, name): value for name, value in params.items()
+              if name not in ("out", "fmt")}
+    _write(serialize.dumps({"config": config, "result": result}), out)
+
+
+def _write(text: str, out: str | None):
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -105,12 +112,7 @@ def lmgen(n, p, k, seed, out, fmt):
 def spectrum_command(complex_path, k, tolerance, out):
     """Eigenvalues of the upper k-Laplacian with the verified zero split."""
     complex_ = load_complex(complex_path)
-    result = spectrum(complex_, k, tolerance)
-    payload = {
-        "config": {"complex": complex_path, "k": k, "tolerance": tolerance},
-        "result": result,
-    }
-    _emit(payload, out)
+    _emit(spectrum(complex_, k, tolerance), out)
 
 
 @main.group()
@@ -130,12 +132,8 @@ def gallery_dist(complex_path, first, second, out):
     eta0 = complex_.from_labels(_parse_simplex(first))
     eta1 = complex_.from_labels(_parse_simplex(second))
     value = gallery_distance(complex_, eta0, eta1)
-    payload = {
-        "config": {"complex": complex_path, "first": first, "second": second},
-        "result": {"distance": None if value == float("inf") else int(value),
-                   "finite": value != float("inf")},
-    }
-    _emit(payload, out)
+    _emit({"distance": None if value == float("inf") else int(value),
+           "finite": value != float("inf")}, out)
 
 
 @gallery.command("connected")
@@ -146,11 +144,7 @@ def gallery_dist(complex_path, first, second, out):
 def gallery_connected(complex_path, k, out):
     """Whether every pair of k-simplices is joined by a gallery."""
     complex_ = load_complex(complex_path)
-    payload = {
-        "config": {"complex": complex_path, "k": k},
-        "result": {"connected": is_gallery_connected(complex_, k)},
-    }
-    _emit(payload, out)
+    _emit({"connected": is_gallery_connected(complex_, k)}, out)
 
 
 @gallery.command("fill")
@@ -162,15 +156,13 @@ def gallery_fill(complex_path, faces, out):
     """Filling number of a face set; each face is 'v1,v2,...' labels."""
     complex_ = load_complex(complex_path)
     face_set = [complex_.from_labels(_parse_simplex(f)) for f in faces]
-    config = {"complex": complex_path, "faces": list(faces)}
     try:
         result = fill_number(complex_, face_set)
     except UnfillableError as exc:
-        _emit({"config": config, "result": {"unfillable": True, "reason": str(exc)}}, out)
+        _emit({"unfillable": True, "reason": str(exc)}, out)
         return
     witness = tuple(map(complex_.to_labels, result.witness))
-    payload = {"config": config, "result": dataclasses.replace(result, witness=witness)}
-    _emit(payload, out)
+    _emit(dataclasses.replace(result, witness=witness), out)
 
 
 @main.command()
@@ -187,14 +179,9 @@ def concentration(n, p, k, eps, trials, seed, fmt, out):
     """Frequencies of the skeleton concentration events over many samples."""
     report = concentration_report(LmParams(n, p, k, seed), eps, trials)
     if fmt == "csv":
-        _emit(None, out, as_csv=True, csv_data=report.csv_rows())
+        _write(serialize.to_csv(*report.csv_rows()), out)
     else:
-        payload = {
-            "config": {"n": n, "p": p, "k": k, "eps": eps, "trials": trials,
-                       "seed": seed},
-            "result": report,
-        }
-        _emit(payload, out)
+        _emit(report, out)
 
 
 @main.command()
@@ -216,13 +203,7 @@ def verify(mode, complex_path, k, embedding_spec, seed, tolerance, out):
     report = verify_instance(
         complex_, k, embedding, seed=seed, tolerance=tolerance
     )
-    payload = {
-        "config": {"mode": mode, "complex": complex_path, "k": k,
-                   "embedding": embedding_spec, "seed": seed,
-                   "tolerance": tolerance},
-        "result": report,
-    }
-    _emit(payload, out)
+    _emit(report, out)
     if not (report["ok"] and report["hypotheses_ok"]):
         sys.exit(1)
 
@@ -251,12 +232,7 @@ def distortion_eval(complex_path, embedding_spec, k, tolerance, out):
     except UnfillableError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    payload = {
-        "config": {"complex": complex_path, "embedding": embedding_spec,
-                   "k": k, "tolerance": tolerance},
-        "result": report,
-    }
-    _emit(payload, out)
+    _emit(report, out)
 
 
 @distortion_group.command("bound")
@@ -270,11 +246,7 @@ def distortion_bound(complex_path, k, tolerance, out):
     complex_ = load_complex(complex_path)
     family = vertex_set_family(complex_, k)
     result = distortion_lower_bound(complex_, family, tolerance=tolerance)
-    payload = {
-        "config": {"complex": complex_path, "k": k, "tolerance": tolerance},
-        "result": result,
-    }
-    _emit(payload, out)
+    _emit(result, out)
     if not result.applicable:
         sys.exit(1)
 
@@ -297,14 +269,9 @@ def distortion_lm_experiment(n, p, k, trials, seed, embedding_spec, fmt, out):
     report = lm_distortion_experiment(LmParams(n, p, k, seed), spec, trials)
     if fmt == "csv":
         rows = [record.csv_row() for record in report.records]
-        _emit(None, out, as_csv=True, csv_data=(CSV_HEADER, rows))
+        _write(serialize.to_csv(CSV_HEADER, rows), out)
     else:
-        payload = {
-            "config": {"n": n, "p": p, "k": k, "trials": trials, "seed": seed,
-                       "embedding": embedding_spec},
-            "result": report,
-        }
-        _emit(payload, out)
+        _emit(report, out)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -501,26 +501,32 @@ def _peel_singletons(rows, cols, values, shape):
     entries of its line are cleared by operations that touch nothing else,
     and the pivot's row and column drop out without fill-in. Passes alternate
     between singleton columns and singleton rows until neither finds one.
-    Returns the pivot count and the entries of the remaining core.
+    Returns the row of each pivot, and the entries of the remaining core.
+    The pivot rows are independent: on the pivot columns, each pivot's entry
+    is the only nonzero of its row or its column among the pivots of its own
+    and later passes, so that submatrix has the product of the pivot entries
+    as its determinant.
     """
-    rank = 0
+    pivot_rows = [np.empty(0, dtype=np.int64)]
     idle = 0
     axis = 0  # 0: singleton columns, pivot rows removed; 1: the transpose
     while rows.size and idle < 2:
         lines, cross = (cols, rows) if axis == 0 else (rows, cols)
         single = np.bincount(lines, minlength=shape[1 - axis])[lines] == 1
-        hit = np.zeros(shape[axis], dtype=bool)
-        hit[cross[single]] = True  # one pivot per hit cross line
-        pivots = int(np.count_nonzero(hit))
-        if pivots:
-            rank += pivots
+        at = cross[single]
+        if at.size:
+            hit = np.zeros(shape[axis], dtype=bool)
+            hit[at] = True  # one pivot per hit cross line
+            owner = np.empty(shape[axis], dtype=np.int64)
+            owner[at] = rows[single]  # the pivot's row: one singleton's
+            pivot_rows.append(owner[hit])
             keep = ~hit[cross]
             rows, cols, values = rows[keep], cols[keep], values[keep]
             idle = 0
         else:
             idle += 1
         axis = 1 - axis
-    return rank, rows, cols, values
+    return np.concatenate(pivot_rows), rows, cols, values
 
 
 def _rank_mod_p(matrix: np.ndarray, p: int) -> int:
@@ -579,23 +585,23 @@ def exact_rank(matrix) -> int:
     divide the same nonzero invariant factor. Only a core whose mod-p rank
     equals its smaller dimension has a certified rank.
     """
-    return _entries_rank(*_integer_entries(matrix))
+    return _entries_rank(*_integer_entries(matrix))[0]
 
 
-def _entries_rank(rows, cols, values, shape) -> int:
-    """`exact_rank` of the matrix with these int64 nonzero entries."""
-    rank, rows, cols, values = _peel_singletons(rows, cols, values, shape)
-    if not rows.size:
-        return rank
-    core_rows, rows = np.unique(rows, return_inverse=True)
-    core_cols, cols = np.unique(cols, return_inverse=True)
-    core = np.zeros((core_rows.size, core_cols.size), dtype=np.int64)
-    core[rows, cols] = values
-    r0 = _rank_mod_p(core, _RANK_PRIMES[0])
-    r1 = _rank_mod_p(core, _RANK_PRIMES[1])
-    if r0 == r1:
-        return rank + r0
-    return rank + _rank_over_rationals(core)
+def _entries_rank(rows, cols, values, shape) -> tuple[int, np.ndarray]:
+    """`exact_rank` of the matrix with these int64 nonzero entries, and the
+    rows of the pivots its peel took."""
+    pivot_rows, rows, cols, values = _peel_singletons(rows, cols, values, shape)
+    rank = len(pivot_rows)
+    if rows.size:
+        core_rows, rows = np.unique(rows, return_inverse=True)
+        core_cols, cols = np.unique(cols, return_inverse=True)
+        core = np.zeros((core_rows.size, core_cols.size), dtype=np.int64)
+        core[rows, cols] = values
+        r0 = _rank_mod_p(core, _RANK_PRIMES[0])
+        r1 = _rank_mod_p(core, _RANK_PRIMES[1])
+        rank += r0 if r0 == r1 else _rank_over_rationals(core)
+    return rank, pivot_rows
 
 
 def _least_vertices(complex_: SimplicialComplex) -> np.ndarray:
@@ -611,27 +617,39 @@ def _least_vertices(complex_: SimplicialComplex) -> np.ndarray:
 
 
 def _coboundary_rank(complex_: SimplicialComplex, k: int) -> int:
-    """Exact rank of d_k, with the columns of the k-simplices whose first
-    vertex is the least vertex of its component left out.
+    """Exact rank of d_k, ranked once per complex and degree."""
+    return _coboundary_peel(complex_, k)[0]
 
-    Those columns lie in the span of the others: for a k-simplex {v} + rho,
-    v the least vertex of the component of the 1-skeleton that holds it,
-    d_k d_{k-1} e_rho = 0 writes its column through the columns of the other
-    k-simplices containing rho, each rho joined to another vertex of that
-    component, so none starts at v (at k=0 the rows of a component sum to
-    zero). No simplex spans two components, so this holds in each of them.
-    Without those columns every (k+1)-simplex through a least vertex is a
-    singleton row of the rest, which starts the peel of `exact_rank`. The
-    entries are those of `differential_matrix`, taken from the facet table
-    without building it. Ranked once per complex and degree.
+
+def _coboundary_peel(complex_: SimplicialComplex, k: int) -> tuple[int, np.ndarray]:
+    """Exact rank of d_k, and the rows of its peel's pivots, with columns that
+    lie in the span of the others left out.
+
+    At k=0 these are the least vertex of each component of the 1-skeleton:
+    the rows of a component sum to zero there, and no edge spans two
+    components. At k >= 1 they are the k-simplices at the pivot rows of the
+    peel of d_{k-1}. Those rows of d_{k-1} are independent, and every row y
+    of d_k has y d_{k-1} = 0, so no nonzero combination of rows of d_k lives
+    on those columns alone: leaving them out keeps the rank. On a complete
+    k-skeleton they are the k-simplices through the least vertex, so each
+    (k+1)-simplex through it is a singleton row and the peel starts there.
+    At k=1 they are the edges of a spanning forest of the 1-skeleton, and on
+    a closed surface the peel of d_1 leaves only a small core. The entries
+    are those of `differential_matrix`, taken from the facet table without
+    building it.
     """
     def build():
-        kept = ~_least_vertices(complex_)[complex_.simplex_rows(k)[:, 0]]
+        if k == 0:
+            kept = ~_least_vertices(complex_)
+        else:
+            kept = np.ones(complex_.simplex_count(k), dtype=bool)
+            kept[_coboundary_peel(complex_, k - 1)[1]] = False
         cols, signs = _coboundary_entries(complex_, k)
         rows, at = np.nonzero(kept[cols])
-        return _entries_rank(
+        rank, pivot_rows = _entries_rank(
             rows, cols[rows, at], signs[at], (len(cols), complex_.simplex_count(k)),
         )
+        return rank, _read_only(pivot_rows)
 
     return complex_._cached(("rank", k), build)
 

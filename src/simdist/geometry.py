@@ -155,6 +155,13 @@ def simplex_boundary_oriented(ordered_vertices) -> OrientedBoundary:
     return OrientedBoundary(len(vertices) - 2, faces)
 
 
+def _json_number(value) -> float:
+    """A JSON number as a float; a string or a bool is a TypeError."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{value!r} is not a JSON number")
+    return float(value)
+
+
 class Embedding:
     """Map from dense vertex ids to points in R^m."""
 
@@ -191,21 +198,26 @@ class Embedding:
             if not header or header[0] != "vertex":
                 raise GeometryError("embedding CSV must start with a 'vertex' header")
             pairs = [(row[0], row[1:]) for row in reader if row]
-        return cls._from_label_pairs(pairs, complex_)
+        return cls._from_label_pairs(pairs, complex_, float)
 
     @classmethod
     def from_json(cls, path, complex_=None) -> "Embedding":
         with open(path, "r", encoding="utf-8") as fh:
             # objects as tuples of (key, value) pairs, so a repeated label shows
             data = json.load(fh, object_pairs_hook=tuple)
-        points = dict(data).get("points") if type(data) is tuple else None
+        keys = [key for key, _ in data] if type(data) is tuple else []
+        repeated = [key for key in keys if keys.count(key) > 1]
+        if repeated:
+            raise GeometryError(f"embedding JSON repeats the key {repeated[0]!r}")
+        points = dict(data).get("points") if keys else None
         if type(points) is not tuple:
             raise GeometryError("embedding JSON needs a 'points' object")
-        return cls._from_label_pairs(points, complex_)
+        return cls._from_label_pairs(points, complex_, _json_number)
 
     @classmethod
-    def _from_label_pairs(cls, pairs, complex_) -> "Embedding":
-        """The embedding of (label, coordinate list) pairs, one per vertex."""
+    def _from_label_pairs(cls, pairs, complex_, number) -> "Embedding":
+        """The embedding of (label, coordinate list) pairs, one per vertex,
+        each coordinate read by `number`."""
         rows = {}
         for label, point in pairs:
             vertex = int(label)
@@ -214,7 +226,7 @@ class Embedding:
             if type(point) is not list:
                 raise GeometryError(f"vertex {vertex}: expected a list of coordinates")
             try:
-                rows[vertex] = [float(x) for x in point]
+                rows[vertex] = [number(x) for x in point]
             except (TypeError, ValueError):
                 raise GeometryError(f"vertex {vertex}: expected numeric coordinates") from None
         if not rows:

@@ -221,12 +221,31 @@ def test_input_errors_exit_two(runner, tmp_path):
             main, ["gallery", "connected", "--complex", str(bad), "--k", "0"])
         assert result.exit_code == 2, result.output
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
-    for text in ('{"m": 1}', '{"points": {"0": 1.5}}'):
+    rest = ", ".join(f'"{v}": [{v}.5, 1.0]' for v in range(1, 10))  # the other vertices
+    for text in ('{"m": 1}', '{"points": {"0": 1.5}}',
+                 '{"points": {"0": ["0.5", 1.0], %s}}' % rest,
+                 '{"points": {"0": [true, 1.0], %s}}' % rest,
+                 '{"points": {}, "points": {"0": [0.5, 1.0], %s}}' % rest):
         bad.write_text(text)
         result = runner.invoke(main, ["distortion", "eval", "--complex", str(path),
                                       "--k", "1", "--embedding", f"file:{bad}"])
         assert result.exit_code == 2, result.output
         assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("m", [16, 17])
+def test_eval_ambient_limit_from_both_sides(runner, m):
+    golden = Path(__file__).parent / "golden"
+    result = runner.invoke(main, ["distortion", "eval", "--complex",
+                                  str(golden / "k1_connected.cplx"), "--k", "1",
+                                  "--embedding", f"gaussian:{m}:1"])
+    if m == 16:
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["config"]["embedding"] == "gaussian:16:1"
+    else:
+        assert result.exit_code == 2
+        assert result.stderr == ("error: C(17,2) multi-indices refused: "
+                                 "limits are m<=16, boundary dim<=3\n")
 
 
 def test_verify_and_eval_build_no_simplex_tuples(runner, monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from simdist.complexes import InvalidSimplexError, complete_complex, sort_with_sign
 from simdist.geometry import (
+    MAX_AMBIENT_DIM,
     BoundaryMismatchError,
     Embedding,
     EnumerationLimitError,
@@ -116,6 +117,20 @@ def test_moment_against_monte_carlo():
             exact = moment_integral(pts, idx)
             estimate = monte_carlo_moment(pts, idx, 200_000, seed=trial)
             assert abs(exact - estimate) <= 2e-2 * (abs(exact) + 1e-2)
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_volume_kernel_ambient_limit_from_both_sides(extra):
+    # m = MAX_AMBIENT_DIM evaluates and matches the scalar path; one more refuses
+    pts = _rng(3).standard_normal((3, MAX_AMBIENT_DIM + extra))
+    vsets = np.array([(0, 1, 2)])
+    if extra:
+        with pytest.raises(EnumerationLimitError, match=r"C\(17,2\) multi-indices refused"):
+            simplex_boundary_projection_volumes(vsets, pts)
+        return
+    [value] = simplex_boundary_projection_volumes(vsets, pts)
+    scalar = enclosed_projection_volume(simplex_boundary_oriented((0, 1, 2)), Embedding(pts))
+    assert value > 0 and value == pytest.approx(scalar, rel=1e-12)
 
 
 def test_multi_index_guard():
@@ -439,6 +454,10 @@ def test_embedding_files_reject_repeats_and_malformed_points(tmp_path):
         ('{"points": {"0": [1.0], "1": 2.0}}', "vertex 1: expected a list of coordinates"),
         ('{"points": {"0": {"x": 1.0}}}', "vertex 0: expected a list of coordinates"),
         ('{"points": {"0": [null]}}', "vertex 0: expected numeric coordinates"),
+        ('{"points": {"0": ["1.5"], "1": [2.0]}}', "vertex 0: expected numeric coordinates"),
+        ('{"points": {"0": [1.5], "1": [true]}}', "vertex 1: expected numeric coordinates"),
+        ('{"points": {"0": [1.5]}, "points": {"0": [2.5]}}',
+         "embedding JSON repeats the key 'points'"),
     ]
     for text, message in cases:
         path = tmp_path / ("emb.json" if text.startswith("{") else "emb.csv")

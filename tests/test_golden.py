@@ -5,7 +5,8 @@ for each command below, the document the CLI wrote to `--out` (the named
 file), or the error message of a command that exits nonzero (the named
 `.txt` file). Each command runs
 from inside that directory, so the relative complex path echoed into the
-document's config matches.
+document's config matches. Every JSON and CSV document is checked twice: as
+the `--out` file, and as stdout when the same command runs without `--out`.
 """
 
 from pathlib import Path
@@ -112,9 +113,10 @@ CASES = [
 ]
 
 
-def run_case(args, out: Path):
-    """Run one CLI command from the corpus directory, writing to `out`."""
-    result = CliRunner().invoke(main, args + ["--out", str(out)])
+def run_case(args, out: Path | None):
+    """Run one CLI command from the corpus directory, writing to `out`, or to
+    stdout when `out` is None."""
+    result = CliRunner().invoke(main, args + (["--out", str(out)] if out else []))
     if result.exception is not None and not isinstance(result.exception, SystemExit):
         raise result.exception
     return result
@@ -132,6 +134,10 @@ def check_cases(cases, tmp_path):
         assert result.exit_code == exit_code, name
         if exit_code == 0:
             assert out.read_bytes() == (GOLDEN / name).read_bytes(), name
+            if out.suffix in (".json", ".csv") and args[0] != "lmgen":
+                piped = run_case(args, None)
+                assert piped.exit_code == 0, name
+                assert piped.stdout_bytes == (GOLDEN / name).read_bytes(), name
         else:  # no document; the error message goes to stderr
             assert not out.exists(), name
             assert result.output == (GOLDEN / name).read_text(), name
